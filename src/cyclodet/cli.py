@@ -18,7 +18,12 @@ from .ccf_estimator import ccf_spectrum, spectrum_to_csv
 from .channel_sim import ChannelConfig, apply_channel
 from .detector import THRESHOLD_MODES, DetectorConfig, classify, threshold
 from .errors import ConfigurationError, FormatError
-from .experiment_harness import SweepConfig, run_detection_sweep, slot_samples
+from .experiment_harness import (
+    PD_VS_PF_COLUMNS,
+    PD_VS_SNR_COLUMNS,
+    SweepConfig,
+    run_detection_sweep,
+)
 from .iq_io import decimate, load_iq, save_iq
 from .signal_model import Standard, profile_for
 from .waveform_synth import GsmSynthConfig, GUARD_MODES, LteSynthConfig, synth_gsm, synth_lte
@@ -128,18 +133,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         threshold_mode=args.mode,
     )
-    result = run_detection_sweep(cfg)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        if len(cfg.p_f_list) == 1:
-            fh.write("snr_db,obs_time_ms,pd,n_trials\n")
-            for c in result.cells:
-                fh.write(f"{c.snr_db:g},{c.obs_time_s * 1e3:g},{c.pd:.6g},{c.n_trials}\n")
-        else:
-            fh.write("snr_db,p_f,standard,pd,n_trials\n")
-            for c in result.cells:
-                fh.write(
-                    f"{c.snr_db:g},{c.p_f:g},{c.standard.value},{c.pd:.6g},{c.n_trials}\n"
-                )
+    columns = PD_VS_SNR_COLUMNS if len(cfg.p_f_list) == 1 else PD_VS_PF_COLUMNS
+    run_detection_sweep(cfg).write_csv(args.out, columns)
     return EXIT_OK
 
 

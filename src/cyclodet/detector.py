@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ccf_estimator import estimate_ccf
+from .ccf_estimator import estimate_ccf, unit_phasors
 from .errors import ConfigurationError
 from .signal_model import (
     GSM_PROFILE,
@@ -40,7 +40,6 @@ class DetectorConfig:
     threshold_mode: str = "calibrated"
     profiles: tuple[StandardProfile, ...] = (GSM_PROFILE, LTE_PROFILE)
     empirical_null_trials: int = 10_000
-    harmonics: int = 1  # >1 sums |C| over k*alpha, experimental; needs empirical_null
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p_f < 1.0:
@@ -51,10 +50,6 @@ class DetectorConfig:
             raise ConfigurationError("profiles must be nonempty")
         if self.empirical_null_trials < 1:
             raise ConfigurationError("empirical_null_trials must be >= 1")
-        if self.harmonics < 1:
-            raise ConfigurationError("harmonics must be >= 1")
-        if self.harmonics > 1 and self.threshold_mode != "empirical_null":
-            raise ConfigurationError("harmonic combining requires empirical_null thresholds")
 
 
 def estimate_variance(r: IqBuffer) -> float:
@@ -80,39 +75,39 @@ def mean_power_leakage(alpha_hz: float, sample_rate_hz: float, m_r: int) -> comp
 
 
 def detection_statistic(
-    r: IqBuffer, alpha_hz: float, harmonics: int = 1, sigma_r_sq: Optional[float] = None
+    r: IqBuffer, alpha_hz: float, sigma_r_sq: Optional[float] = None
 ) -> float:
     """|C_hat(alpha, 0)| with the mean-power leakage removed.
 
     The received power leaks sigma^2 * D(alpha) into the estimate on finite
     records; subtracting it keeps the noise-only statistic Rayleigh at any
     (alpha, sample rate) combination, which the constant-false-alarm
-    thresholds rely on. With ``harmonics`` > 1 the corrected magnitudes of
-    k * alpha for k = 1..harmonics are summed.
+    thresholds rely on.
     """
     if sigma_r_sq is None:
         sigma_r_sq = estimate_variance(r)
-    total = 0.0
-    for k in range(1, harmonics + 1):
-        est = estimate_ccf(r, k * alpha_hz, 0)
-        leak = sigma_r_sq * mean_power_leakage(k * alpha_hz, r.sample_rate_hz, r.m_r)
-        total += abs(est.value - leak)
-    return total
+    est = estimate_ccf(r, alpha_hz, 0)
+    leak = sigma_r_sq * mean_power_leakage(alpha_hz, r.sample_rate_hz, r.m_r)
+    return abs(est.value - leak)
 
 
-def _statistic_on_unit_noise(noise: np.ndarray, phasors: np.ndarray) -> float:
-    power = np.abs(noise) ** 2
-    centered = power - power.mean()
-    return abs(np.sum(centered * phasors)) / noise.size
+def centered_power_statistic(power: np.ndarray, phasors: np.ndarray) -> np.ndarray:
+    """|sum_m (p(m) - mean p) phasors(m)| / M over the last axis of ``power``.
+
+    With p = |r|^2 and phasors = exp(-j 2 pi alpha m T_s) this equals
+    ``detection_statistic``: C_hat(alpha, 0) - sigma^2 D(alpha) is exactly the
+    transform of the mean-removed power. The noise-only runs use this form,
+    one row of ``power`` per draw.
+    """
+    centered = power - power.mean(axis=-1, keepdims=True)
+    return np.abs(centered @ phasors) / power.shape[-1]
 
 
 @lru_cache(maxsize=32)
-def _unit_null_quantile(p_f: float, m_r: int, trials: int, harmonics: int) -> float:
+def _unit_null_quantile(p_f: float, m_r: int, trials: int) -> float:
     """(1 - p_f) quantile of the detection statistic on unit-power noise."""
-    from .ccf_estimator import unit_phasors
-
     rng = np.random.default_rng(_NULL_SEED)
-    phasor_sets = [unit_phasors(k * _NULL_ALPHA_TS % 1.0, m_r) for k in range(1, harmonics + 1)]
+    phasors = unit_phasors(_NULL_ALPHA_TS, m_r)
     values = np.empty(trials)
     chunk = max(1, int(2_000_000 // m_r))
     done = 0
@@ -121,12 +116,7 @@ def _unit_null_quantile(p_f: float, m_r: int, trials: int, harmonics: int) -> fl
         noise = np.sqrt(0.5) * (
             rng.standard_normal((n, m_r)) + 1j * rng.standard_normal((n, m_r))
         )
-        power = np.abs(noise) ** 2
-        centered = power - power.mean(axis=1, keepdims=True)
-        stat = np.zeros(n)
-        for ph in phasor_sets:
-            stat += np.abs(centered @ ph) / m_r
-        values[done : done + n] = stat
+        values[done : done + n] = centered_power_statistic(np.abs(noise) ** 2, phasors)
         done += n
     return float(np.quantile(values, 1.0 - p_f))
 
@@ -156,9 +146,7 @@ def threshold(cfg: DetectorConfig, sigma_r_sq: float, m_r: int) -> float:
         return float(np.sqrt(-sigma_r_sq * np.log(cfg.p_f)))
     if cfg.threshold_mode == "calibrated":
         return float(sigma_r_sq * np.sqrt(-np.log(cfg.p_f) / m_r))
-    return sigma_r_sq * _unit_null_quantile(
-        cfg.p_f, m_r, cfg.empirical_null_trials, cfg.harmonics
-    )
+    return sigma_r_sq * _unit_null_quantile(cfg.p_f, m_r, cfg.empirical_null_trials)
 
 
 @dataclass(frozen=True)
@@ -244,9 +232,7 @@ def classify(r: IqBuffer, cfg: DetectorConfig) -> DecisionReport:
     gamma = threshold(cfg, sigma_r_sq, r.m_r)
     decisions = []
     for profile in cfg.profiles:
-        stat = detection_statistic(
-            r, profile.fundamental_cf_float, cfg.harmonics, sigma_r_sq
-        )
+        stat = detection_statistic(r, profile.fundamental_cf_float, sigma_r_sq)
         decisions.append(
             ProfileDecision(
                 standard=profile.standard,

@@ -4,15 +4,14 @@ for the standard set of result figures."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .ccf_estimator import ccf_spectrum, spectrum_to_csv, unit_phasors
 from .channel_sim import ChannelConfig, apply_channel
-from .detector import DetectorConfig, classify, threshold
+from .detector import DetectorConfig, centered_power_statistic, classify, threshold
 from .errors import ConfigurationError
 from .signal_model import IqBuffer, Standard, StandardProfile, profile_for
 from .waveform_synth import GsmSynthConfig, LteSynthConfig, synth_gsm, synth_lte
@@ -24,8 +23,6 @@ from .waveform_synth import GsmSynthConfig, LteSynthConfig, synth_gsm, synth_lte
 # remain available through the synth configs directly.
 REFERENCE_GSM_GUARD_MODE = "gated"
 REFERENCE_LTE_DATA_OCCUPANCY = 0.1
-
-WaveformFactory = Callable[[int, int], IqBuffer]
 
 
 def default_sample_rate(standard: "str | Standard") -> float:
@@ -71,7 +68,6 @@ class SweepConfig:
     master_seed: int = 0
     channel: ChannelConfig = field(default_factory=_default_channel)
     threshold_mode: str = "calibrated"
-    waveform: Optional[WaveformFactory] = None  # (num_slots, seed) -> IqBuffer
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
@@ -95,6 +91,21 @@ class SweepCell:
     n_trials: int
 
 
+# One formatter per sweep CSV column; a layout is a tuple of column names.
+_SWEEP_COLUMNS = {
+    "standard": lambda c: c.standard.value,
+    "snr_db": lambda c: f"{c.snr_db:g}",
+    "obs_time_ms": lambda c: f"{c.obs_time_s * 1e3:g}",
+    "p_f": lambda c: f"{c.p_f:g}",
+    "pd": lambda c: f"{c.pd:.6g}",
+    "n_trials": lambda c: str(c.n_trials),
+}
+SWEEP_CSV_COLUMNS = tuple(_SWEEP_COLUMNS)
+# Pd vs SNR per observation time (fig7/fig8), and Pd per P_F and standard (fig9).
+PD_VS_SNR_COLUMNS = ("snr_db", "obs_time_ms", "pd", "n_trials")
+PD_VS_PF_COLUMNS = ("snr_db", "p_f", "standard", "pd", "n_trials")
+
+
 @dataclass(frozen=True)
 class SweepResult:
     cells: tuple[SweepCell, ...]
@@ -109,14 +120,15 @@ class SweepResult:
                 return c
         raise KeyError(f"no cell ({snr_db}, {obs_time_s}, {p_f})")
 
-    def to_csv(self) -> str:
-        lines = ["standard,snr_db,obs_time_ms,p_f,pd,n_trials"]
-        for c in self.cells:
-            lines.append(
-                f"{c.standard.value},{c.snr_db:g},{c.obs_time_s * 1e3:g},"
-                f"{c.p_f:g},{c.pd:.6g},{c.n_trials}"
-            )
+    def to_csv(self, columns: Sequence[str] = SWEEP_CSV_COLUMNS) -> str:
+        """The cells as CSV text (LF line ends) with the given columns."""
+        lines = [",".join(columns)]
+        lines += [",".join(_SWEEP_COLUMNS[name](c) for name in columns) for c in self.cells]
         return "\n".join(lines) + "\n"
+
+    def write_csv(self, path, columns: Sequence[str] = SWEEP_CSV_COLUMNS) -> None:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(self.to_csv(columns))
 
 
 def _trial_seeds(master_seed: int, cell_index: int, trial_index: int) -> tuple[int, int]:
@@ -131,7 +143,6 @@ def run_single_trial(
     m_r: int,
     detector_cfg: DetectorConfig,
     channel_template: ChannelConfig,
-    waveform: WaveformFactory,
     wf_seed: int,
     ch_seed: int,
 ) -> bool:
@@ -139,7 +150,7 @@ def run_single_trial(
     classifier labels the window with the transmitted standard."""
     n_slot = slot_samples(standard)
     num_slots = int(np.ceil(m_r / n_slot)) + 1
-    x = waveform(num_slots, wf_seed)
+    x = reference_waveform(standard, num_slots, wf_seed)
     ch = replace(
         channel_template,
         snr_db=snr_db,
@@ -162,9 +173,6 @@ def run_detection_sweep(cfg: SweepConfig) -> SweepResult:
     Per-trial RNG streams derive from (master_seed, cell index, trial index)
     only, so results are reproducible and independent of execution order.
     """
-    waveform = cfg.waveform or (
-        lambda num_slots, seed: reference_waveform(cfg.standard, num_slots, seed)
-    )
     fs = default_sample_rate(cfg.standard)
     cells = []
     cell_index = 0
@@ -177,8 +185,7 @@ def run_detection_sweep(cfg: SweepConfig) -> SweepResult:
                 for trial in range(cfg.n_trials):
                     wf_seed, ch_seed = _trial_seeds(cfg.master_seed, cell_index, trial)
                     hits += run_single_trial(
-                        cfg.standard, snr_db, m_r, det_cfg, cfg.channel,
-                        waveform, wf_seed, ch_seed,
+                        cfg.standard, snr_db, m_r, det_cfg, cfg.channel, wf_seed, ch_seed
                     )
                 cells.append(
                     SweepCell(
@@ -206,8 +213,9 @@ def run_false_alarm(
 ) -> float:
     """Fraction of noise-only trials a given profile's test declares detected.
 
-    Implements the same leakage-corrected statistic as the classifier, with
-    the phasor grid hoisted out of the trial loop.
+    Uses the classifier's leakage-corrected statistic in its noise-only form
+    (``centered_power_statistic``), with the phasor grid hoisted out of the
+    trial loop.
     """
     if profile is None:
         profile = profile_for(Standard.GSM)
@@ -223,10 +231,8 @@ def run_false_alarm(
             rng.standard_normal(m_r) + 1j * rng.standard_normal(m_r)
         )
         power = np.abs(noise) ** 2
-        sigma_r_sq = float(power.mean())
-        # |C_hat - sigma^2 D(alpha)| == |sum (power - mean) phasor| / M
-        stat = abs(np.dot(power - sigma_r_sq, phasors)) / m_r
-        hits += stat > threshold(det_cfg, sigma_r_sq, m_r)
+        stat = centered_power_statistic(power, phasors)
+        hits += stat > threshold(det_cfg, float(power.mean()), m_r)
     return hits / n_trials
 
 
@@ -284,15 +290,10 @@ def emit_figure_data(
                 master_seed=master_seed,
             )
         )
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["snr_db", "obs_time_ms", "pd", "n_trials"])
-            for c in result.cells:
-                writer.writerow([f"{c.snr_db:g}", f"{c.obs_time_s * 1e3:g}",
-                                 f"{c.pd:.6g}", c.n_trials])
+        result.write_csv(out_path, PD_VS_SNR_COLUMNS)
         return
 
-    rows = []
+    cells = ()
     for standard in (Standard.GSM, Standard.LTE):
         result = run_detection_sweep(
             SweepConfig(
@@ -304,10 +305,5 @@ def emit_figure_data(
                 master_seed=master_seed,
             )
         )
-        rows.extend(result.cells)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["snr_db", "p_f", "standard", "pd", "n_trials"])
-        for c in rows:
-            writer.writerow([f"{c.snr_db:g}", f"{c.p_f:g}", c.standard.value,
-                             f"{c.pd:.6g}", c.n_trials])
+        cells += result.cells
+    SweepResult(cells=cells).write_csv(out_path, PD_VS_PF_COLUMNS)

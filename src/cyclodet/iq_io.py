@@ -105,24 +105,39 @@ def save_iq(buf: IqBuffer, path, meta_path) -> None:
     )
 
 
+def _meta_number(fields: dict, key: str, meta_path, kind=float):
+    """A numeric sidecar field, or None when it is absent."""
+    if key not in fields:
+        return None
+    try:
+        return kind(fields[key])
+    except ValueError:
+        raise FormatError(f"{meta_path}: bad {key} {fields[key]!r}") from None
+
+
 def load_iq(path, meta_path) -> IqBuffer:
-    """Read a cf32le capture and its sidecar into an IqBuffer."""
+    """Read a cf32le capture and its sidecar into an IqBuffer.
+
+    A ``sample_count`` in the sidecar must match the data file, so a capture
+    cut short by whole samples is rejected rather than analysed.
+    """
     fields = read_meta(meta_path)
     fmt = fields.get("format", SAMPLE_FORMAT_CF32LE)
     if fmt != SAMPLE_FORMAT_CF32LE:
         raise UnsupportedFormatError(f"{meta_path}: unsupported format {fmt!r}")
-    if "sample_rate_hz" not in fields:
+    rate = _meta_number(fields, "sample_rate_hz", meta_path)
+    if rate is None:
         raise FormatError(f"{meta_path}: missing sample_rate_hz")
-    try:
-        rate = float(fields["sample_rate_hz"])
-    except ValueError:
-        raise FormatError(
-            f"{meta_path}: bad sample_rate_hz {fields['sample_rate_hz']!r}"
-        ) from None
-    center = float(fields["center_freq_hz"]) if "center_freq_hz" in fields else None
+    center = _meta_number(fields, "center_freq_hz", meta_path)
+    count = _meta_number(fields, "sample_count", meta_path, int)
     samples = read_cf32(path)
     if samples.size == 0:
         raise FormatError(f"{path}: capture holds no samples")
+    if count is not None and count != samples.size:
+        raise FormatError(
+            f"{path}: holds {samples.size} samples, but {meta_path} declares "
+            f"sample_count={count}"
+        )
     return IqBuffer(samples=samples, sample_rate_hz=rate, center_freq_hz=center)
 
 

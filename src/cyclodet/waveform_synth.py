@@ -19,6 +19,7 @@ from .signal_model import IqBuffer
 
 GSM_SYMBOL_RATE_HZ = Fraction(1625000, 6)
 GSM_SLOT_SYMBOLS = Fraction(625, 4)  # 156.25
+GSM_GAUSSIAN_BT = 0.3  # GMSK pulse-shaping bandwidth-time product
 
 # Normal-burst layout, in bits: 3 tail + 57 data + 1 flag + 26 training
 # + 1 flag + 57 data + 3 tail, followed by 8.25 guard symbols.
@@ -61,7 +62,6 @@ class GsmSynthConfig:
     training_sequence_index: int = 0
     seed: int = 0
     guard_mode: str = "random_bits"
-    gaussian_bt: float = 0.3
 
     def __post_init__(self) -> None:
         if self.num_slots < 1:
@@ -72,8 +72,6 @@ class GsmSynthConfig:
             raise ConfigurationError("training_sequence_index must be in 0..7")
         if self.guard_mode not in GUARD_MODES:
             raise ConfigurationError(f"guard_mode must be one of {GUARD_MODES}")
-        if not self.gaussian_bt > 0:
-            raise ConfigurationError("gaussian_bt must be > 0")
         total = self.num_slots * GSM_SLOT_SYMBOLS * self.oversample
         if total.denominator != 1:
             raise ConfigurationError(
@@ -128,9 +126,9 @@ def gsm_bit_schedule(cfg: GsmSynthConfig) -> tuple[np.ndarray, np.ndarray]:
     return starts, bits
 
 
-def _gaussian_kernel(oversample: int, bt: float) -> np.ndarray:
+def _gaussian_kernel(oversample: int) -> np.ndarray:
     """Unit-sum Gaussian smoothing kernel for the NRZ drive, span +/-3 symbols."""
-    sigma_symbols = np.sqrt(np.log(2.0)) / (2.0 * np.pi * bt)
+    sigma_symbols = np.sqrt(np.log(2.0)) / (2.0 * np.pi * GSM_GAUSSIAN_BT)
     n = np.arange(-3 * oversample, 3 * oversample + 1, dtype=np.float64)
     g = np.exp(-0.5 * (n / (oversample * sigma_symbols)) ** 2)
     return g / g.sum()
@@ -154,7 +152,7 @@ def _gate_envelope(rel_symbols: np.ndarray) -> np.ndarray:
 def synth_gsm(cfg: GsmSynthConfig) -> IqBuffer:
     """Generate a GMSK burst train of ``cfg.num_slots`` slots.
 
-    The modulator integrates Gaussian-filtered (BT = ``gaussian_bt``) NRZ bits
+    The modulator integrates Gaussian-filtered (BT = 0.3) NRZ bits
     into phase with a +/- pi/2 shift per bit, which keeps the envelope exactly
     constant. With ``guard_mode="gated"`` a power gate with raised-cosine
     ramps is applied over the guard period instead, modeling carriers that
@@ -167,7 +165,7 @@ def synth_gsm(cfg: GsmSynthConfig) -> IqBuffer:
     t_symbols = np.arange(m, dtype=np.float64) / cfg.oversample
     drive = nrz[np.searchsorted(starts, t_symbols, side="right") - 1]
 
-    kernel = _gaussian_kernel(cfg.oversample, cfg.gaussian_bt)
+    kernel = _gaussian_kernel(cfg.oversample)
     smoothed = np.convolve(drive, kernel, mode="same")
     phase = (np.pi / (2.0 * cfg.oversample)) * np.cumsum(smoothed)
     x = np.exp(1j * phase)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cyclodet import load_iq
+from cyclodet import emit_figure_data, load_iq
 from cyclodet.cli import main
 
 
@@ -106,6 +106,14 @@ def test_sweep_multi_pf_schema(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "snr_db,p_f,standard,pd,n_trials"
     assert len(lines) == 1 + 2 * 2  # two SNRs x two P_F
+
+
+def test_sweep_csv_matches_figure_csv(tmp_path):
+    out, fig = tmp_path / "sweep.csv", tmp_path / "fig7.csv"
+    assert run(["sweep", "--standard", "gsm", "--snr", "10", "--obs-ms", "10,50",
+                "--pf", "0.01", "--trials", "4", "--seed", "1", "--out", str(out)]) == 0
+    emit_figure_data("fig7", fig, n_trials=4, master_seed=1, snr_db_list=(10.0,))
+    assert out.read_bytes() == fig.read_bytes()
 
 
 def test_calibrate_prints_threshold(capsys):

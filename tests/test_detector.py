@@ -26,7 +26,8 @@ from cyclodet import (
     synth_noise,
     threshold,
 )
-from cyclodet.detector import minimum_samples
+from cyclodet.ccf_estimator import unit_phasors
+from cyclodet.detector import centered_power_statistic, minimum_samples
 
 
 # ------------------------------------------------------------- variance
@@ -105,8 +106,6 @@ def test_threshold_argument_validation():
         DetectorConfig(p_f=1.0)
     with pytest.raises(ConfigurationError):
         DetectorConfig(p_f=0.01, profiles=())
-    with pytest.raises(ConfigurationError):
-        DetectorConfig(p_f=0.01, harmonics=3)  # needs empirical_null
 
 
 # ------------------------------------------------------------- leakage
@@ -136,14 +135,16 @@ def test_statistic_equals_corrected_ccf():
 
 def test_statistic_matches_centered_dot_product():
     # The leakage-corrected statistic is identical to transforming the
-    # mean-removed instantaneous power.
+    # mean-removed instantaneous power, which is what the noise-only runs
+    # compute, one draw per row.
     r = synth_noise(4096, 2.0, seed=4, sample_rate_hz=1e6)
     alpha = 1733.0
     power = np.abs(r.samples) ** 2
-    centered = power - power.mean()
-    phasors = np.exp(-2j * np.pi * ((alpha / 1e6) * np.arange(r.m_r) % 1.0))
-    expected = abs(np.dot(centered, phasors)) / r.m_r
-    assert detection_statistic(r, alpha) == pytest.approx(expected, rel=1e-10)
+    phasors = unit_phasors(alpha / 1e6, r.m_r)
+    expected = centered_power_statistic(power, phasors)
+    assert detection_statistic(r, alpha) == pytest.approx(expected, rel=1e-12)
+    batch = centered_power_statistic(np.stack([power, 4.0 * power]), phasors)
+    np.testing.assert_allclose(batch, [expected, 4.0 * expected], rtol=1e-12)
 
 
 # ------------------------------------------------------------- classify
@@ -225,14 +226,6 @@ def test_classify_deterministic():
     r = _lte_rx(num_slots=30)
     cfg = DetectorConfig(p_f=0.01, threshold_mode="empirical_null", empirical_null_trials=3000)
     assert classify(r, cfg) == classify(r, cfg)
-
-
-def test_harmonic_combining_detects():
-    r = _gsm_rx(num_slots=40)
-    cfg = DetectorConfig(p_f=0.01, threshold_mode="empirical_null",
-                         empirical_null_trials=3000, harmonics=3)
-    rep = classify(r, cfg)
-    assert rep.label is Standard.GSM
 
 
 # ------------------------------------------------------------- report

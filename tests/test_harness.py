@@ -93,18 +93,17 @@ def test_trials_are_exchangeable():
 
     det = DetectorConfig(p_f=0.01)
     m_r = int(round(0.010 * default_sample_rate("gsm")))
-    wf = lambda n, s: reference_waveform("gsm", n, s)
     outcomes = {}
     for trial in range(8):
         wf_seed, ch_seed = _trial_seeds(3, 0, trial)
         outcomes[trial] = run_single_trial(
-            Standard.GSM, 5.0, m_r, det, _default_channel(), wf, wf_seed, ch_seed
+            Standard.GSM, 5.0, m_r, det, _default_channel(), wf_seed, ch_seed
         )
     reversed_outcomes = {}
     for trial in reversed(range(8)):
         wf_seed, ch_seed = _trial_seeds(3, 0, trial)
         reversed_outcomes[trial] = run_single_trial(
-            Standard.GSM, 5.0, m_r, det, _default_channel(), wf, wf_seed, ch_seed
+            Standard.GSM, 5.0, m_r, det, _default_channel(), wf_seed, ch_seed
         )
     assert outcomes == reversed_outcomes
 

@@ -58,6 +58,14 @@ def test_truncated_file_rejected_without_partial_read(tmp_path):
         load_iq(data, meta)
 
 
+def test_capture_cut_by_whole_samples_rejected(tmp_path):
+    data, meta = tmp_path / "s.iq", tmp_path / "s.iq.meta"
+    save_iq(_f32_buffer(m=20_000), data, meta)
+    data.write_bytes(data.read_bytes()[: 8 * 15_000])
+    with pytest.raises(FormatError, match="sample_count=20000"):
+        load_iq(data, meta)
+
+
 def test_missing_or_bad_sidecar(tmp_path):
     data = tmp_path / "c.iq"
     write_cf32(np.ones(4, dtype=complex), data)
@@ -69,6 +77,9 @@ def test_missing_or_bad_sidecar(tmp_path):
         load_iq(data, meta)
     meta.write_text("format=cf32le\n")
     with pytest.raises(FormatError):
+        load_iq(data, meta)
+    meta.write_text("sample_rate_hz=1000\ncenter_freq_hz=abc\n")
+    with pytest.raises(FormatError, match="center_freq_hz"):
         load_iq(data, meta)
 
 
