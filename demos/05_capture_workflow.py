@@ -34,19 +34,18 @@ from cyclodet import (
 )
 
 if __name__ == "__main__":
-    workdir = Path(tempfile.mkdtemp(prefix="cyclodet_demo_"))
-    wide_path = workdir / "rx_wide.iq"
-
     # 16x oversampled GSM ~ 4.33 MHz capture rate, through the fading channel
     x = synth_gsm(GsmSynthConfig(num_slots=60, oversample=16, seed=3, guard_mode="gated"))
     rx = apply_channel(
         x,
         ChannelConfig(snr_db=10.0, timing_offset_slot_samples=16 * 625 // 4, seed=4),
     )
-    save_iq(rx, wide_path, f"{wide_path}.meta")
-    print(f"wrote {wide_path} ({wide_path.stat().st_size} bytes at {rx.sample_rate_hz:.0f} Hz)")
+    with tempfile.TemporaryDirectory(prefix="cyclodet_demo_") as workdir:
+        wide_path = Path(workdir) / "rx_wide.iq"  # sidecar: rx_wide.iq.meta
+        save_iq(rx, wide_path)
+        print(f"wrote {wide_path} ({wide_path.stat().st_size} bytes at {rx.sample_rate_hz:.0f} Hz)")
+        back = load_iq(wide_path)
 
-    back = load_iq(wide_path, f"{wide_path}.meta")
     low = decimate(back, factor=4)
     print(f"decimated to {low.sample_rate_hz:.0f} Hz, {len(low)} samples")
 

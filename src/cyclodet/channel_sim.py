@@ -12,16 +12,14 @@ import numpy as np
 from .errors import ConfigurationError
 from .signal_model import IqBuffer
 
-SNR_REFERENCES = ("faded", "pre_fading")
-
 
 @dataclass(frozen=True)
 class ChannelConfig:
     """One channel realization is drawn per :func:`apply_channel` call.
 
     ``timing_offset_slot_samples=None`` disables the timing offset; an integer
-    value makes the delay uniform over ``[0, slot_samples)``. ``snr_db`` may be
-    ``inf`` to disable noise.
+    value makes the delay uniform over ``[0, slot_samples)``. ``snr_db`` is
+    relative to the faded signal power and may be ``inf`` to disable noise.
     """
 
     snr_db: float
@@ -30,7 +28,6 @@ class ChannelConfig:
     timing_offset_slot_samples: Optional[int] = None
     cfo_hz: float = 0.0
     seed: int = 0
-    snr_reference: str = "faded"
 
     def __post_init__(self) -> None:
         if self.num_taps < 1:
@@ -41,8 +38,6 @@ class ChannelConfig:
             raise ConfigurationError(
                 "timing_offset_slot_samples must be > 0 when the uniform offset is enabled"
             )
-        if self.snr_reference not in SNR_REFERENCES:
-            raise ConfigurationError(f"snr_reference must be one of {SNR_REFERENCES}")
 
 
 def pdp_tap_variances(num_taps: int, pdp_decay: float = 5.0) -> np.ndarray:
@@ -91,11 +86,7 @@ def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
         y = y * np.exp(2j * np.pi * cfg.cfo_hz * t)
 
     if np.isfinite(cfg.snr_db):
-        if cfg.snr_reference == "faded":
-            ref_power = np.mean(np.abs(y) ** 2)
-        else:
-            ref_power = np.mean(np.abs(x.samples) ** 2)
-        noise_power = ref_power / 10.0 ** (cfg.snr_db / 10.0)
+        noise_power = np.mean(np.abs(y) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
         y = y + np.sqrt(noise_power / 2.0) * (
             rng.standard_normal(m) + 1j * rng.standard_normal(m)
         )

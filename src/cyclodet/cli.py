@@ -34,10 +34,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _meta_path(path: str) -> str:
-    return path + ".meta"
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     """Comma list ('10,50') or inclusive range ('-15:1:5' = start:step:stop)."""
     if ":" in text:
@@ -59,7 +55,7 @@ def _cmd_synth_gsm(args: argparse.Namespace) -> int:
         seed=args.seed,
         guard_mode=args.guard_mode,
     )
-    save_iq(synth_gsm(cfg), args.out, _meta_path(args.out))
+    save_iq(synth_gsm(cfg), args.out)
     return EXIT_OK
 
 
@@ -73,12 +69,12 @@ def _cmd_synth_lte(args: argparse.Namespace) -> int:
         seed=args.seed,
         data_occupancy=args.occupancy,
     )
-    save_iq(synth_lte(cfg), args.out, _meta_path(args.out))
+    save_iq(synth_lte(cfg), args.out)
     return EXIT_OK
 
 
 def _cmd_channel(args: argparse.Namespace) -> int:
-    buf = load_iq(args.infile, _meta_path(args.infile))
+    buf = load_iq(args.infile)
     offset_samples = None
     if args.timing_offset == "uniform":
         if args.timing_slot_samples is not None:
@@ -100,19 +96,19 @@ def _cmd_channel(args: argparse.Namespace) -> int:
         cfo_hz=args.cfo_hz,
         seed=args.seed,
     )
-    save_iq(apply_channel(buf, cfg), args.out, _meta_path(args.out))
+    save_iq(apply_channel(buf, cfg), args.out)
     return EXIT_OK
 
 
 def _cmd_ccf_spectrum(args: argparse.Namespace) -> int:
-    buf = load_iq(args.infile, _meta_path(args.infile))
+    buf = load_iq(args.infile)
     spectrum = ccf_spectrum(buf, tau_samples=args.tau, max_alpha_hz=args.max_alpha)
     spectrum_to_csv(spectrum, args.out)
     return EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    buf = load_iq(args.infile, _meta_path(args.infile))
+    buf = load_iq(args.infile)
     profiles = tuple(profile_for(name) for name in args.profiles.split(","))
     cfg = DetectorConfig(p_f=args.pf, threshold_mode=args.mode, profiles=profiles)
     report = classify(buf, cfg)
@@ -148,8 +144,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_decimate(args: argparse.Namespace) -> int:
-    buf = load_iq(args.infile, _meta_path(args.infile))
-    save_iq(decimate(buf, args.factor), args.out, _meta_path(args.out))
+    buf = load_iq(args.infile)
+    save_iq(decimate(buf, args.factor), args.out)
     return EXIT_OK
 
 

@@ -49,8 +49,10 @@ class IqBuffer:
         samples = np.asarray(self.samples, dtype=np.complex128)
         if samples.ndim != 1 or samples.size < 1:
             raise ConfigurationError("IqBuffer needs a 1-D sample vector of length >= 1")
-        if not self.sample_rate_hz > 0:
-            raise ConfigurationError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ConfigurationError(
+                f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}"
+            )
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 

@@ -295,16 +295,13 @@ def synth_lte(cfg: LteSynthConfig) -> IqBuffer:
 
     bodies = np.fft.ifft(grid, axis=1)
 
-    cp = cfg.cp_lengths
-    out = np.empty(cfg.total_samples, dtype=np.complex128)
-    pos = 0
-    for row in range(n_symbols):
-        body = bodies[row]
-        n_cp = cp[row % LTE_SYMBOLS_PER_SLOT]
-        out[pos : pos + n_cp] = body[-n_cp:]
-        pos += n_cp
-        out[pos : pos + cfg.fft_size] = body
-        pos += cfg.fft_size
+    # One slot's sample order over its symbol bodies: each symbol's cyclic
+    # prefix (the last n_cp samples of its body), then the body itself.
+    n = cfg.fft_size
+    slot_index = np.concatenate(
+        [k * n + np.r_[n - n_cp : n, 0:n] for k, n_cp in enumerate(cfg.cp_lengths)]
+    )
+    out = bodies.reshape(cfg.num_slots, -1)[:, slot_index].ravel()
 
     out = out / np.sqrt(np.mean(np.abs(out) ** 2))
     return IqBuffer(samples=out, sample_rate_hz=cfg.sample_rate_hz)

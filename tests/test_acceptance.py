@@ -269,14 +269,14 @@ def test_criterion_7_exact_invariance_suite(tmp_path):
     checks.append("envelope")
 
     # capture round trip, then an end-to-end classify from file
-    data, meta = tmp_path / "cap.iq", tmp_path / "cap.iq.meta"
+    data = tmp_path / "cap.iq"
     f32 = IqBuffer(
         samples=rx.samples.real.astype(np.float32).astype(np.float64)
         + 1j * rx.samples.imag.astype(np.float32).astype(np.float64),
         sample_rate_hz=rx.sample_rate_hz,
     )
-    save_iq(f32, data, meta)
-    back = load_iq(data, meta)
+    save_iq(f32, data)
+    back = load_iq(data)
     assert np.array_equal(back.samples, f32.samples)
     assert back.sample_rate_hz == f32.sample_rate_hz
     assert classify(back, det_cfg).label is Standard.GSM

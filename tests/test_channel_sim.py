@@ -118,22 +118,10 @@ def test_block_fading_constant_taps():
     assert np.max(np.abs(ratios - ratios[0])) < 1e-14
 
 
-def test_pre_fading_snr_reference():
-    x = _unit_input(m=200_000, seed=19)
-    noiseless = apply_channel(x, ChannelConfig(snr_db=np.inf, num_taps=4, seed=33))
-    noisy = apply_channel(
-        x, ChannelConfig(snr_db=0.0, num_taps=4, seed=33, snr_reference="pre_fading")
-    )
-    noise_power = np.mean(np.abs(noisy.samples - noiseless.samples) ** 2)
-    assert noise_power == pytest.approx(x.mean_power(), rel=0.02)
-
-
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         ChannelConfig(snr_db=0.0, num_taps=0)
     with pytest.raises(ConfigurationError):
         ChannelConfig(snr_db=0.0, timing_offset_slot_samples=0)
-    with pytest.raises(ConfigurationError):
-        ChannelConfig(snr_db=0.0, snr_reference="transmit")
     with pytest.raises(ConfigurationError):
         ChannelConfig(snr_db=0.0, pdp_decay=0.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cyclodet import emit_figure_data, load_iq
+from cyclodet import IqFileMeta, emit_figure_data, load_iq
 from cyclodet.cli import main
 
 
@@ -14,7 +14,7 @@ def run(argv):
 def test_synth_gsm_writes_capture(tmp_path):
     out = tmp_path / "g.iq"
     assert run(["synth-gsm", "--slots", "8", "--seed", "1", "--out", str(out)]) == 0
-    buf = load_iq(out, str(out) + ".meta")
+    buf = load_iq(out)
     assert len(buf) == 5000
     assert buf.sample_rate_hz == pytest.approx(1_083_333.3333333, abs=1e-3)
 
@@ -84,7 +84,7 @@ def test_decimate_halves_rate(tmp_path):
     run(["synth-lte", "--slots", "4", "--seed", "2", "--out", str(clean)])
     out = tmp_path / "d.iq"
     assert run(["decimate", "--in", str(clean), "--factor", "2", "--out", str(out)]) == 0
-    buf = load_iq(out, str(out) + ".meta")
+    buf = load_iq(out)
     assert buf.sample_rate_hz == pytest.approx(0.96e6)
     assert len(buf) == 1920
 
@@ -132,6 +132,20 @@ def test_unsupported_format_exit_code(tmp_path):
     data.write_bytes(b"\x00" * 16)
     (tmp_path / "x.iq.meta").write_text("sample_rate_hz=1e6\nformat=cs8\n")
     assert run(["classify", "--in", str(data)]) == 3
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "zeros"])
+def test_bad_samples_exit_code(tmp_path, capsys, bad):
+    samples = np.ones(4000, dtype="<c8")
+    if bad == "zeros":
+        samples[:] = 0
+    else:
+        samples[1234] = float(bad)
+    data = tmp_path / "bad.iq"
+    samples.tofile(data)
+    IqFileMeta(sample_rate_hz=1e6, sample_count=samples.size).write(f"{data}.meta")
+    assert run(["classify", "--in", str(data)]) == 3
+    assert str(data) in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -6,13 +6,14 @@ import pytest
 from cyclodet import (
     FormatError,
     IqBuffer,
+    IqFileMeta,
     UnsupportedFormatError,
     decimate,
     load_iq,
     save_iq,
     synth_noise,
 )
-from cyclodet.iq_io import decimation_taps, read_cf32, read_meta, write_cf32
+from cyclodet.iq_io import decimation_taps
 
 
 def _f32_buffer(m=257, seed=0, fs=1_083_333.3333333333):
@@ -26,9 +27,9 @@ def _f32_buffer(m=257, seed=0, fs=1_083_333.3333333333):
 
 def test_round_trip_bit_identical(tmp_path):
     buf = _f32_buffer()
-    data, meta = tmp_path / "a.iq", tmp_path / "a.iq.meta"
-    save_iq(buf, data, meta)
-    back = load_iq(data, meta)
+    data = tmp_path / "a.iq"
+    save_iq(buf, data)
+    back = load_iq(data)
     np.testing.assert_array_equal(back.samples, buf.samples)
     assert back.sample_rate_hz == buf.sample_rate_hz
     assert back.center_freq_hz == buf.center_freq_hz
@@ -37,9 +38,9 @@ def test_round_trip_bit_identical(tmp_path):
 
 def test_save_quantizes_to_float32(tmp_path):
     buf = synth_noise(100, 1.0, seed=1, sample_rate_hz=1e6)
-    data, meta = tmp_path / "b.iq", tmp_path / "b.iq.meta"
-    save_iq(buf, data, meta)
-    back = load_iq(data, meta)
+    data = tmp_path / "b.iq"
+    save_iq(buf, data)
+    back = load_iq(data)
     expected = buf.samples.real.astype(np.float32).astype(np.float64) + 1j * buf.samples.imag.astype(np.float32).astype(np.float64)
     np.testing.assert_array_equal(back.samples, expected)
 
@@ -47,59 +48,73 @@ def test_save_quantizes_to_float32(tmp_path):
 def test_sixteen_byte_file_is_two_samples(tmp_path):
     data = tmp_path / "two.iq"
     data.write_bytes(np.arange(4, dtype="<f4").tobytes())
-    assert read_cf32(data).shape == (2,)
+    IqFileMeta(sample_rate_hz=1000.0).write(tmp_path / "two.iq.meta")
+    assert load_iq(data).samples.tolist() == [1j, 2 + 3j]
 
 
 def test_truncated_file_rejected_without_partial_read(tmp_path):
-    data, meta = tmp_path / "t.iq", tmp_path / "t.iq.meta"
-    save_iq(_f32_buffer(m=4), data, meta)
+    data = tmp_path / "t.iq"
+    save_iq(_f32_buffer(m=4), data)
     data.write_bytes(data.read_bytes()[:-3])
     with pytest.raises(FormatError):
-        load_iq(data, meta)
+        load_iq(data)
 
 
 def test_capture_cut_by_whole_samples_rejected(tmp_path):
-    data, meta = tmp_path / "s.iq", tmp_path / "s.iq.meta"
-    save_iq(_f32_buffer(m=20_000), data, meta)
+    data = tmp_path / "s.iq"
+    save_iq(_f32_buffer(m=20_000), data)
     data.write_bytes(data.read_bytes()[: 8 * 15_000])
     with pytest.raises(FormatError, match="sample_count=20000"):
-        load_iq(data, meta)
+        load_iq(data)
 
 
 def test_missing_or_bad_sidecar(tmp_path):
     data = tmp_path / "c.iq"
-    write_cf32(np.ones(4, dtype=complex), data)
-    with pytest.raises(FormatError):
-        load_iq(data, tmp_path / "nope.meta")
+    save_iq(IqBuffer(samples=np.ones(4), sample_rate_hz=1000.0), data)
     meta = tmp_path / "c.iq.meta"
+    meta.unlink()
+    with pytest.raises(FormatError):
+        load_iq(data)
     meta.write_text("format=cs16le\nsample_rate_hz=1000\n")
     with pytest.raises(UnsupportedFormatError):
-        load_iq(data, meta)
+        load_iq(data)
     meta.write_text("format=cf32le\n")
     with pytest.raises(FormatError):
-        load_iq(data, meta)
-    meta.write_text("sample_rate_hz=1000\ncenter_freq_hz=abc\n")
-    with pytest.raises(FormatError, match="center_freq_hz"):
-        load_iq(data, meta)
+        load_iq(data)
+    meta.write_bytes(b"sample_rate_hz=1000\n\xff\xfe\n")
+    with pytest.raises(FormatError, match="malformed line"):
+        load_iq(data)
+    for field, value in [
+        ("center_freq_hz", "abc"),
+        ("center_freq_hz", "inf"),
+        ("sample_rate_hz", "-5"),
+        ("sample_rate_hz", "0"),
+        ("sample_rate_hz", "nan"),
+        ("sample_rate_hz", "inf"),
+    ]:
+        fields = {"sample_rate_hz": "1000", field: value}
+        meta.write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+        with pytest.raises(FormatError, match=field) as exc:
+            load_iq(data)
+        assert str(meta) in str(exc.value)
 
 
-def test_empty_capture_rejected_but_raw_io_allows_it(tmp_path):
-    data, meta = tmp_path / "e.iq", tmp_path / "e.iq.meta"
-    write_cf32(np.zeros(0, dtype=complex), data)
-    assert data.stat().st_size == 0
-    assert read_cf32(data).size == 0
-    meta.write_text("sample_rate_hz=1000\nformat=cf32le\n")
-    with pytest.raises(FormatError):
-        load_iq(data, meta)
+def test_empty_capture_rejected(tmp_path):
+    data = tmp_path / "e.iq"
+    data.write_bytes(b"")
+    IqFileMeta(sample_rate_hz=1000.0, sample_count=0).write(tmp_path / "e.iq.meta")
+    with pytest.raises(FormatError, match="no samples"):
+        load_iq(data)
 
 
 def test_sidecar_keeps_twelve_significant_digits(tmp_path):
     buf = _f32_buffer(fs=1_083_333.3333333333)
     data, meta = tmp_path / "d.iq", tmp_path / "d.iq.meta"
-    save_iq(buf, data, meta)
-    fields = read_meta(meta)
-    assert float(fields["sample_rate_hz"]) == buf.sample_rate_hz
-    mantissa = fields["sample_rate_hz"].replace(".", "").lstrip("0")
+    save_iq(buf, data)
+    assert IqFileMeta.read(meta).sample_rate_hz == buf.sample_rate_hz
+    line = meta.read_text().splitlines()[0]
+    assert line.startswith("sample_rate_hz=")
+    mantissa = line.split("=", 1)[1].replace(".", "").lstrip("0")
     assert len(mantissa) >= 12
 
 

@@ -70,4 +70,6 @@ def test_iq_buffer_validation():
     with pytest.raises(ConfigurationError):
         IqBuffer(samples=np.ones(4), sample_rate_hz=0.0)
     with pytest.raises(ConfigurationError):
+        IqBuffer(samples=np.ones(4), sample_rate_hz=np.inf)
+    with pytest.raises(ConfigurationError):
         IqBuffer(samples=np.ones((2, 2)), sample_rate_hz=1.0)
