@@ -21,6 +21,7 @@ from .errors import ConfigurationError, FormatError
 from .experiment_harness import (
     PD_VS_PF_COLUMNS,
     PD_VS_SNR_COLUMNS,
+    SWEEP_CSV_COLUMNS,
     SweepConfig,
     run_detection_sweep,
 )
@@ -129,7 +130,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         threshold_mode=args.mode,
     )
-    columns = PD_VS_SNR_COLUMNS if len(cfg.p_f_list) == 1 else PD_VS_PF_COLUMNS
+    if len(cfg.p_f_list) == 1:
+        columns = PD_VS_SNR_COLUMNS
+    elif len(cfg.observation_times_s) == 1:
+        columns = PD_VS_PF_COLUMNS
+    else:  # several times and several P_F: only the full record keeps rows distinct
+        columns = SWEEP_CSV_COLUMNS
     run_detection_sweep(cfg).write_csv(args.out, columns)
     return EXIT_OK
 

@@ -138,8 +138,8 @@ def threshold(cfg: DetectorConfig, sigma_r_sq: float, m_r: int) -> float:
     ``empirical_null_trials`` noise-only draws of length m_r, scaled by
     sigma_r_sq (the null statistic is exactly proportional to power).
     """
-    if not sigma_r_sq > 0:
-        raise ConfigurationError(f"sigma_r_sq must be > 0, got {sigma_r_sq}")
+    if not 0 < sigma_r_sq < np.inf:
+        raise ConfigurationError(f"sigma_r_sq must be finite and > 0, got {sigma_r_sq}")
     if m_r < 1:
         raise ConfigurationError(f"m_r must be >= 1, got {m_r}")
     if cfg.threshold_mode == "uncalibrated":

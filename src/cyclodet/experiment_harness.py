@@ -4,7 +4,7 @@ for the standard set of result figures."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -12,6 +12,7 @@ import numpy as np
 from .ccf_estimator import ccf_spectrum, spectrum_to_csv, unit_phasors
 from .channel_sim import ChannelConfig, apply_channel
 from .detector import DetectorConfig, centered_power_statistic, classify, threshold
+from .detector import minimum_samples
 from .errors import ConfigurationError
 from .signal_model import IqBuffer, Standard, StandardProfile, profile_for
 from .waveform_synth import GsmSynthConfig, LteSynthConfig, synth_gsm, synth_lte
@@ -23,39 +24,32 @@ from .waveform_synth import GsmSynthConfig, LteSynthConfig, synth_gsm, synth_lte
 # remain available through the synth configs directly.
 REFERENCE_GSM_GUARD_MODE = "gated"
 REFERENCE_LTE_DATA_OCCUPANCY = 0.1
+# Every trial's channel; each trial sets its own SNR, timing offset and seed.
+REFERENCE_CHANNEL = ChannelConfig(snr_db=0.0, num_taps=4, pdp_decay=5.0)
+
+
+def _reference_config(standard: "str | Standard", num_slots: int = 1, seed: int = 0):
+    """The trial waveform's synth config (oversample 4 / fft 128 defaults)."""
+    if Standard.parse(standard) is Standard.GSM:
+        return GsmSynthConfig(num_slots=num_slots, seed=seed, guard_mode=REFERENCE_GSM_GUARD_MODE)
+    return LteSynthConfig(
+        num_slots=num_slots, seed=seed, data_occupancy=REFERENCE_LTE_DATA_OCCUPANCY
+    )
 
 
 def default_sample_rate(standard: "str | Standard") -> float:
-    """Each standard's synth-default sample rate (oversample 4 / fft 128)."""
-    std = Standard.parse(standard)
-    if std is Standard.GSM:
-        return GsmSynthConfig(num_slots=1).sample_rate_hz
-    return LteSynthConfig(num_slots=1).sample_rate_hz
+    """Each standard's trial sample rate."""
+    return _reference_config(standard).sample_rate_hz
 
 
 def slot_samples(standard: "str | Standard") -> int:
-    std = Standard.parse(standard)
-    if std is Standard.GSM:
-        return int(GsmSynthConfig(num_slots=1).samples_per_slot)
-    return LteSynthConfig(num_slots=1).samples_per_slot
+    return int(_reference_config(standard).samples_per_slot)
 
 
 def reference_waveform(standard: "str | Standard", num_slots: int, seed: int) -> IqBuffer:
     """Default trial waveform: gated-guard GSM or 10%-occupancy LTE."""
-    std = Standard.parse(standard)
-    if std is Standard.GSM:
-        return synth_gsm(
-            GsmSynthConfig(num_slots=num_slots, seed=seed, guard_mode=REFERENCE_GSM_GUARD_MODE)
-        )
-    return synth_lte(
-        LteSynthConfig(
-            num_slots=num_slots, seed=seed, data_occupancy=REFERENCE_LTE_DATA_OCCUPANCY
-        )
-    )
-
-
-def _default_channel() -> ChannelConfig:
-    return ChannelConfig(snr_db=0.0, num_taps=4, pdp_decay=5.0)
+    cfg = _reference_config(standard, num_slots, seed)
+    return synth_gsm(cfg) if isinstance(cfg, GsmSynthConfig) else synth_lte(cfg)
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,6 @@ class SweepConfig:
     p_f_list: tuple[float, ...] = (1e-2,)
     n_trials: int = 1000
     master_seed: int = 0
-    channel: ChannelConfig = field(default_factory=_default_channel)
     threshold_mode: str = "calibrated"
 
     def __post_init__(self) -> None:
@@ -74,11 +67,14 @@ class SweepConfig:
             raise ConfigurationError("n_trials must be >= 1")
         if not self.snr_db_list or not self.observation_times_s or not self.p_f_list:
             raise ConfigurationError("sweep lists must be nonempty")
-        min_t = 2.0 * float(profile_for(self.standard).slot_duration_s)
-        if min(self.observation_times_s) <= min_t:
-            raise ConfigurationError(
-                f"every observation time must exceed two slots ({min_t:.6f} s)"
-            )
+        fs = default_sample_rate(self.standard)
+        need = minimum_samples(DetectorConfig(self.p_f_list[0], self.threshold_mode), fs)
+        for t in self.observation_times_s:
+            if not (np.isfinite(t) and round(t * fs) >= need):
+                raise ConfigurationError(
+                    f"observation time {t} s gives fewer than the {need} samples classify "
+                    f"needs at {fs:g} Hz (two slots of the longest-slot profile)"
+                )
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,6 @@ def run_single_trial(
     snr_db: float,
     m_r: int,
     detector_cfg: DetectorConfig,
-    channel_template: ChannelConfig,
     wf_seed: int,
     ch_seed: int,
 ) -> bool:
@@ -151,12 +146,7 @@ def run_single_trial(
     n_slot = slot_samples(standard)
     num_slots = int(np.ceil(m_r / n_slot)) + 1
     x = reference_waveform(standard, num_slots, wf_seed)
-    ch = replace(
-        channel_template,
-        snr_db=snr_db,
-        timing_offset_slot_samples=n_slot,
-        seed=ch_seed,
-    )
+    ch = replace(REFERENCE_CHANNEL, snr_db=snr_db, timing_offset_slot_samples=n_slot, seed=ch_seed)
     y = apply_channel(x, ch)
     # Skip one slot so the analysis window is fully inside the delayed signal;
     # the slot phase at the window start stays uniform.
@@ -184,9 +174,7 @@ def run_detection_sweep(cfg: SweepConfig) -> SweepResult:
                 hits = 0
                 for trial in range(cfg.n_trials):
                     wf_seed, ch_seed = _trial_seeds(cfg.master_seed, cell_index, trial)
-                    hits += run_single_trial(
-                        cfg.standard, snr_db, m_r, det_cfg, cfg.channel, wf_seed, ch_seed
-                    )
+                    hits += run_single_trial(cfg.standard, snr_db, m_r, det_cfg, wf_seed, ch_seed)
                 cells.append(
                     SweepCell(
                         standard=cfg.standard,
@@ -208,21 +196,18 @@ def run_false_alarm(
     n_trials: int,
     mode: str = "calibrated",
     profile: Optional[StandardProfile] = None,
-    sample_rate_hz: Optional[float] = None,
     master_seed: int = 0,
 ) -> float:
     """Fraction of noise-only trials a given profile's test declares detected.
 
     Uses the classifier's leakage-corrected statistic in its noise-only form
     (``centered_power_statistic``), with the phasor grid hoisted out of the
-    trial loop.
+    trial loop. Noise is drawn at the profile's trial sample rate.
     """
     if profile is None:
         profile = profile_for(Standard.GSM)
-    if sample_rate_hz is None:
-        sample_rate_hz = default_sample_rate(profile.standard)
     det_cfg = DetectorConfig(p_f=p_f, threshold_mode=mode, profiles=(profile,))
-    alpha_ts = profile.fundamental_cf_float / sample_rate_hz
+    alpha_ts = profile.fundamental_cf_float / default_sample_rate(profile.standard)
     phasors = unit_phasors(alpha_ts, m_r)
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0xFA)))
     hits = 0
@@ -236,19 +221,27 @@ def run_false_alarm(
     return hits / n_trials
 
 
-FIGURES = ("fig3", "fig4", "fig7", "fig8", "fig9")
-
 _SPECTRUM_SLOTS = 1000
 _SPECTRUM_SNR_DB = 20.0
 _SPECTRUM_MAX_ALPHA_HZ = 20_000.0
 _SWEEP_SNR_GRID = tuple(np.arange(-15.0, 10.1, 2.5))
+
+# Figure presets. A spectrum figure names its standard; a sweep figure names
+# (standards, observation times in s, P_F targets, CSV columns).
+_SPECTRUM_FIGURES = {"fig3": Standard.GSM, "fig4": Standard.LTE}
+_SWEEP_FIGURES = {
+    "fig7": ((Standard.GSM,), (0.010, 0.050), (1e-2,), PD_VS_SNR_COLUMNS),
+    "fig8": ((Standard.LTE,), (0.010, 0.050), (1e-2,), PD_VS_SNR_COLUMNS),
+    "fig9": ((Standard.GSM, Standard.LTE), (0.010,), (1e-1, 1e-2, 1e-3), PD_VS_PF_COLUMNS),
+}
+FIGURES = tuple(_SPECTRUM_FIGURES) + tuple(_SWEEP_FIGURES)
 
 
 def _spectrum_figure(standard: Standard, master_seed: int):
     ss = np.random.SeedSequence((master_seed, 3 if standard is Standard.GSM else 4))
     words = ss.generate_state(4, np.uint64)
     x = reference_waveform(standard, _SPECTRUM_SLOTS, int(words[0] >> 1))
-    ch = ChannelConfig(snr_db=_SPECTRUM_SNR_DB, num_taps=4, pdp_decay=5.0, seed=int(words[1] >> 1))
+    ch = replace(REFERENCE_CHANNEL, snr_db=_SPECTRUM_SNR_DB, seed=int(words[1] >> 1))
     y = apply_channel(x, ch)
     return ccf_spectrum(y, tau_samples=0, max_alpha_hz=_SPECTRUM_MAX_ALPHA_HZ)
 
@@ -269,41 +262,15 @@ def emit_figure_data(
     (``snr_db,obs_time_ms,pd,n_trials``). fig9: both standards at 10 ms for
     P_F in {1e-1, 1e-2, 1e-3} (``snr_db,p_f,standard,pd,n_trials``).
     """
-    if which not in FIGURES:
+    if which in _SPECTRUM_FIGURES:
+        spectrum_to_csv(_spectrum_figure(_SPECTRUM_FIGURES[which], master_seed), out_path)
+        return
+    if which not in _SWEEP_FIGURES:
         raise ConfigurationError(f"unknown figure {which!r}; expected one of {FIGURES}")
-
-    if which in ("fig3", "fig4"):
-        standard = Standard.GSM if which == "fig3" else Standard.LTE
-        spectrum_to_csv(_spectrum_figure(standard, master_seed), out_path)
-        return
-
+    standards, obs_times, p_fs, columns = _SWEEP_FIGURES[which]
     snrs = tuple(snr_db_list) if snr_db_list is not None else _SWEEP_SNR_GRID
-    if which in ("fig7", "fig8"):
-        standard = Standard.GSM if which == "fig7" else Standard.LTE
-        result = run_detection_sweep(
-            SweepConfig(
-                standard=standard,
-                snr_db_list=snrs,
-                observation_times_s=(0.010, 0.050),
-                p_f_list=(1e-2,),
-                n_trials=n_trials,
-                master_seed=master_seed,
-            )
-        )
-        result.write_csv(out_path, PD_VS_SNR_COLUMNS)
-        return
-
     cells = ()
-    for standard in (Standard.GSM, Standard.LTE):
-        result = run_detection_sweep(
-            SweepConfig(
-                standard=standard,
-                snr_db_list=snrs,
-                observation_times_s=(0.010,),
-                p_f_list=(1e-1, 1e-2, 1e-3),
-                n_trials=n_trials,
-                master_seed=master_seed,
-            )
-        )
-        cells += result.cells
-    SweepResult(cells=cells).write_csv(out_path, PD_VS_PF_COLUMNS)
+    for standard in standards:
+        cfg = SweepConfig(standard, snrs, obs_times, p_fs, n_trials, master_seed)
+        cells += run_detection_sweep(cfg).cells
+    SweepResult(cells=cells).write_csv(out_path, columns)

@@ -91,8 +91,15 @@ class IqFileMeta:
 
 def save_iq(buf: IqBuffer, path) -> None:
     """Write a buffer as cf32le data plus its sidecar; load_iq inverts it
-    exactly (samples pass through float32, so save after load is bit-identical)."""
-    buf.samples.astype("<c8").tofile(path)
+    exactly (samples pass through float32, so save after load is bit-identical).
+
+    Writes nothing when a sample is non-finite in float32, since load_iq
+    would reject the capture."""
+    with np.errstate(over="ignore"):
+        data = buf.samples.astype("<c8")
+    if not np.isfinite(data).all():
+        raise FormatError(f"{path}: not written, samples are non-finite or exceed float32")
+    data.tofile(path)
     IqFileMeta(
         sample_rate_hz=buf.sample_rate_hz,
         sample_count=len(buf),

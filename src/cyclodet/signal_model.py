@@ -6,7 +6,7 @@ at the DSP boundary, so that harmonics ``k * alpha`` stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -72,23 +72,6 @@ class IqBuffer:
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
 
-    def mean_power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
-
-
-# GSM: 26 kbit/s x ... -- symbol rate 1625000/6 Bd, 156.25 symbols per slot,
-# hence a slot lasts exactly 15/26000 s and the slot rate is 26000/15 Hz.
-GSM_SLOT_DURATION_S = Fraction(15, 26000)
-GSM_FUNDAMENTAL_CF_HZ = Fraction(26000, 15)
-
-# Rounded compatibility values as they usually appear in print (577 us, 1733 Hz).
-GSM_SLOT_DURATION_ROUNDED_S = 577e-6
-GSM_FUNDAMENTAL_CF_ROUNDED_HZ = 1733.0
-
-LTE_SLOT_DURATION_S = Fraction(1, 2000)
-LTE_FUNDAMENTAL_CF_HZ = Fraction(2000)
-LTE_SECONDARY_CF_HZ = Fraction(200)
-
 
 @dataclass(frozen=True)
 class StandardProfile:
@@ -96,14 +79,12 @@ class StandardProfile:
 
     standard: Standard
     slot_duration_s: Fraction
-    fundamental_cf_hz: Fraction
     secondary_cf_hz: Optional[Fraction] = None
 
-    def __post_init__(self) -> None:
-        if self.fundamental_cf_hz * self.slot_duration_s != 1:
-            raise ConfigurationError(
-                "fundamental_cf_hz must be the exact reciprocal of slot_duration_s"
-            )
+    @property
+    def fundamental_cf_hz(self) -> Fraction:
+        """The slot rate, the exact reciprocal of the slot duration."""
+        return 1 / self.slot_duration_s
 
     @property
     def fundamental_cf_float(self) -> float:
@@ -114,17 +95,13 @@ class StandardProfile:
         return float(self.slot_duration_s)
 
 
-GSM_PROFILE = StandardProfile(
-    standard=Standard.GSM,
-    slot_duration_s=GSM_SLOT_DURATION_S,
-    fundamental_cf_hz=GSM_FUNDAMENTAL_CF_HZ,
-)
+# GSM: symbol rate 1625000/6 Bd, 156.25 symbols per slot, hence a slot lasts
+# exactly 15/26000 s and the slot rate is 26000/15 Hz.
+GSM_PROFILE = StandardProfile(standard=Standard.GSM, slot_duration_s=Fraction(15, 26000))
 
+# LTE: 0.5 ms slots; the sync channels recur every 10 slots (200 Hz).
 LTE_PROFILE = StandardProfile(
-    standard=Standard.LTE,
-    slot_duration_s=LTE_SLOT_DURATION_S,
-    fundamental_cf_hz=LTE_FUNDAMENTAL_CF_HZ,
-    secondary_cf_hz=LTE_SECONDARY_CF_HZ,
+    standard=Standard.LTE, slot_duration_s=Fraction(1, 2000), secondary_cf_hz=Fraction(200)
 )
 
 _PROFILES = {Standard.GSM: GSM_PROFILE, Standard.LTE: LTE_PROFILE}

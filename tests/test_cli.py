@@ -108,6 +108,16 @@ def test_sweep_multi_pf_schema(tmp_path):
     assert len(lines) == 1 + 2 * 2  # two SNRs x two P_F
 
 
+def test_sweep_several_times_and_pf_writes_full_record(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--standard", "lte", "--snr", "0", "--obs-ms", "10,50",
+                "--pf", "0.1,0.01", "--trials", "2", "--seed", "5", "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "standard,snr_db,obs_time_ms,p_f,pd,n_trials"
+    keys = {tuple(row.split(",")[2:4]) for row in rows}
+    assert keys == {("10", "0.1"), ("50", "0.1"), ("10", "0.01"), ("50", "0.01")}
+
+
 def test_sweep_csv_matches_figure_csv(tmp_path):
     out, fig = tmp_path / "sweep.csv", tmp_path / "fig7.csv"
     assert run(["sweep", "--standard", "gsm", "--snr", "10", "--obs-ms", "10,50",

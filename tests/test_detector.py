@@ -98,6 +98,8 @@ def test_threshold_argument_validation():
     cfg = DetectorConfig(p_f=0.01)
     with pytest.raises(ConfigurationError):
         threshold(cfg, 0.0, 100)
+    with pytest.raises(ConfigurationError, match="inf"):
+        threshold(cfg, np.inf, 100)
     with pytest.raises(ConfigurationError):
         threshold(cfg, 1.0, 0)
     with pytest.raises(ConfigurationError):
@@ -183,6 +185,15 @@ def test_classify_rejects_short_buffers_with_minimum():
     r = IqBuffer(samples=np.ones(need - 1), sample_rate_hz=fs)
     with pytest.raises(ValueError, match=str(need)):
         classify(r, cfg)
+
+
+def test_classify_rejects_non_finite_power():
+    # One inf sample makes the mean power inf; the threshold refuses it
+    # rather than returning "no detection" with NaN statistics.
+    samples = synth_noise(4000, 1.0, seed=5, sample_rate_hz=1e6).samples.copy()
+    samples[123] = np.inf
+    with pytest.raises(ConfigurationError, match="sigma_r_sq"):
+        classify(IqBuffer(samples=samples, sample_rate_hz=1e6), DetectorConfig(p_f=0.01))
 
 
 @pytest.mark.parametrize("gain", [2.0, 0.5, 2.0j])

@@ -7,17 +7,20 @@ import pytest
 
 from cyclodet import (
     ConfigurationError,
+    DetectorConfig,
     GSM_PROFILE,
     LTE_PROFILE,
     Standard,
     SweepConfig,
     default_sample_rate,
     emit_figure_data,
+    estimate_variance,
     run_detection_sweep,
     run_false_alarm,
     slot_samples,
 )
-from cyclodet.experiment_harness import reference_waveform
+from cyclodet.detector import minimum_samples
+from cyclodet.experiment_harness import _trial_seeds, reference_waveform, run_single_trial
 
 
 def test_default_rates_and_slots():
@@ -32,7 +35,7 @@ def test_reference_waveforms_have_slot_envelope_structure():
     rel = (np.arange(len(gsm)) / 4) % 156.25
     assert np.max(np.abs(gsm.samples[(rel >= 150) & (rel < 155)])) < 1e-12
     lte = reference_waveform("lte", 4, seed=1)
-    assert lte.mean_power() == pytest.approx(1.0, abs=1e-3)
+    assert estimate_variance(lte) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_sweep_reproducible_and_well_formed():
@@ -88,34 +91,44 @@ def test_pd_monotone_in_snr_and_observation_time():
 def test_trials_are_exchangeable():
     # Per-trial RNG streams depend only on (master_seed, cell, trial), so
     # evaluating the trials in any order yields the same cell statistic.
-    from cyclodet.detector import DetectorConfig
-    from cyclodet.experiment_harness import _default_channel, _trial_seeds, run_single_trial
-
     det = DetectorConfig(p_f=0.01)
     m_r = int(round(0.010 * default_sample_rate("gsm")))
     outcomes = {}
     for trial in range(8):
         wf_seed, ch_seed = _trial_seeds(3, 0, trial)
-        outcomes[trial] = run_single_trial(
-            Standard.GSM, 5.0, m_r, det, _default_channel(), wf_seed, ch_seed
-        )
+        outcomes[trial] = run_single_trial(Standard.GSM, 5.0, m_r, det, wf_seed, ch_seed)
     reversed_outcomes = {}
     for trial in reversed(range(8)):
         wf_seed, ch_seed = _trial_seeds(3, 0, trial)
-        reversed_outcomes[trial] = run_single_trial(
-            Standard.GSM, 5.0, m_r, det, _default_channel(), wf_seed, ch_seed
-        )
+        reversed_outcomes[trial] = run_single_trial(Standard.GSM, 5.0, m_r, det, wf_seed, ch_seed)
     assert outcomes == reversed_outcomes
 
 
 def test_sweep_rejects_too_short_observation():
+    # LTE at 1.1 ms is longer than two LTE slots but shorter than two GSM
+    # slots, the longest-slot profile classify tests.
+    for std, obs_s in ((Standard.GSM, 0.0005), (Standard.LTE, 0.0011)):
+        with pytest.raises(ConfigurationError):
+            SweepConfig(
+                standard=std,
+                snr_db_list=(0.0,),
+                observation_times_s=(obs_s,),
+                p_f_list=(0.01,),
+            )
+
+
+@pytest.mark.parametrize("std", [Standard.GSM, Standard.LTE])
+def test_sweep_minimum_record_is_classify_minimum(std):
+    # The shortest record a sweep accepts is the shortest classify accepts,
+    # so an accepted sweep never fails inside a trial.
+    fs = default_sample_rate(std)
+    need = minimum_samples(DetectorConfig(p_f=0.01), fs)
     with pytest.raises(ConfigurationError):
-        SweepConfig(
-            standard=Standard.GSM,
-            snr_db_list=(0.0,),
-            observation_times_s=(0.0005,),
-            p_f_list=(0.01,),
-        )
+        SweepConfig(standard=std, snr_db_list=(0.0,), observation_times_s=((need - 1) / fs,))
+    cfg = SweepConfig(
+        standard=std, snr_db_list=(0.0,), observation_times_s=(need / fs,), n_trials=1
+    )
+    assert run_detection_sweep(cfg).cells[0].n_trials == 1
 
 
 def test_false_alarm_calibrated_quick():

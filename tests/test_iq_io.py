@@ -9,6 +9,7 @@ from cyclodet import (
     IqFileMeta,
     UnsupportedFormatError,
     decimate,
+    estimate_variance,
     load_iq,
     save_iq,
     synth_noise,
@@ -97,6 +98,16 @@ def test_missing_or_bad_sidecar(tmp_path):
         with pytest.raises(FormatError, match=field) as exc:
             load_iq(data)
         assert str(meta) in str(exc.value)
+
+
+def test_save_refuses_float32_overflow(tmp_path):
+    data = tmp_path / "big.iq"
+    samples = np.ones(16, dtype=np.complex128)
+    samples[3] = 1e39
+    with pytest.raises(FormatError, match=str(data)):
+        save_iq(IqBuffer(samples=samples, sample_rate_hz=1000.0), data)
+    assert not data.exists()
+    assert not (tmp_path / "big.iq.meta").exists()
 
 
 def test_empty_capture_rejected(tmp_path):
@@ -192,4 +203,4 @@ def test_decimate_preserves_inband_power():
     out = decimate(buf, factor)
     taps = decimation_taps(factor)
     core = out.samples[taps.size // factor : -(taps.size // factor)]
-    assert np.mean(np.abs(core) ** 2) == pytest.approx(buf.mean_power(), rel=0.03)
+    assert np.mean(np.abs(core) ** 2) == pytest.approx(estimate_variance(buf), rel=0.03)

@@ -14,10 +14,6 @@ from cyclodet import (
     Standard,
     profile_for,
 )
-from cyclodet.signal_model import (
-    GSM_FUNDAMENTAL_CF_ROUNDED_HZ,
-    GSM_SLOT_DURATION_ROUNDED_S,
-)
 
 
 def test_gsm_profile_exact_rationals():
@@ -50,13 +46,6 @@ def test_profiles_are_value_objects():
 def test_unknown_standard_rejected():
     with pytest.raises(ConfigurationError):
         profile_for("wimax")
-
-
-def test_rounded_compatibility_constants():
-    assert GSM_SLOT_DURATION_ROUNDED_S == 577e-6
-    assert GSM_FUNDAMENTAL_CF_ROUNDED_HZ == 1733.0
-    # the exact value differs from the rounded one by ~0.33 Hz
-    assert abs(GSM_PROFILE.fundamental_cf_float - GSM_FUNDAMENTAL_CF_ROUNDED_HZ) > 0.3
 
 
 def test_iq_buffer_validation():

@@ -7,6 +7,7 @@ from cyclodet import (
     ConfigurationError,
     GsmSynthConfig,
     LteSynthConfig,
+    estimate_variance,
     synth_gsm,
     synth_lte,
     synth_noise,
@@ -37,7 +38,7 @@ def test_gsm_constant_envelope():
 def test_gsm_mean_power_unit():
     for mode in ("random_bits", "gated"):
         buf = synth_gsm(GsmSynthConfig(num_slots=10, seed=5, guard_mode=mode))
-        assert buf.mean_power() == pytest.approx(1.0, abs=1e-3)
+        assert estimate_variance(buf) == pytest.approx(1.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("tsc", [0, 3, 7])
@@ -172,7 +173,7 @@ def test_lte_sss_fixed_bpsk_before_pss():
 def test_lte_mean_power_unit_and_determinism():
     cfg = LteSynthConfig(num_slots=5, seed=8)
     a, b = synth_lte(cfg), synth_lte(cfg)
-    assert a.mean_power() == pytest.approx(1.0, abs=1e-3)
+    assert estimate_variance(a) == pytest.approx(1.0, abs=1e-3)
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
@@ -180,7 +181,7 @@ def test_lte_data_occupancy_thins_grid():
     full = synth_lte(LteSynthConfig(num_slots=4, seed=3, data_occupancy=1.0))
     thin_cfg = LteSynthConfig(num_slots=4, seed=3, data_occupancy=0.1)
     thin = synth_lte(thin_cfg)
-    assert thin.mean_power() == pytest.approx(1.0, abs=1e-3)
+    assert estimate_variance(thin) == pytest.approx(1.0, abs=1e-3)
     grid = _demod_symbol(thin, thin_cfg, 1, 2)  # plain data symbol
     used = np.concatenate([grid[128 - 36 : 128], grid[1:37]])
     occupied = np.sum(np.abs(used) > 1e-6)
@@ -206,7 +207,7 @@ def test_lte_config_validation(kwargs):
 
 def test_noise_power_and_determinism():
     buf = synth_noise(100_000, power=1.0, seed=1)
-    assert buf.mean_power() == pytest.approx(1.0, abs=0.01)
+    assert estimate_variance(buf) == pytest.approx(1.0, abs=0.01)
     np.testing.assert_array_equal(buf.samples, synth_noise(100_000, 1.0, seed=1).samples)
 
 
