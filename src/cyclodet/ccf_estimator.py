@@ -13,6 +13,7 @@ grid point and that equivalence is enforced by tests.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,17 +24,29 @@ from .signal_model import CcfEstimate, IqBuffer
 _PHASOR_BLOCK = 1 << 14
 
 
+@functools.lru_cache(maxsize=16)
+def _phasor_table(alpha_ts: float) -> np.ndarray:
+    """Read-only exp(-j 2 pi alpha_ts n) for n = 0..2**14-1.
+
+    The table depends on alpha_ts only, so Monte Carlo trials and captures at
+    the same rate share it. 16 tables of 256 KB bound the cache at 4 MB.
+    """
+    table = np.exp(-2j * np.pi * alpha_ts * np.arange(_PHASOR_BLOCK))
+    table.flags.writeable = False
+    return table
+
+
 def unit_phasors(alpha_ts: float, m: int) -> np.ndarray:
-    """exp(-j 2 pi alpha_ts n) for n = 0..m-1.
+    """exp(-j 2 pi alpha_ts n) for n = 0..m-1, as a new array.
 
     Evaluated block-wise: one directly-exponentiated table per 2**14 samples
     and an exactly angle-reduced carrier per block, which keeps accumulated
     phase error below ~1e-12 rad even for multi-million-sample buffers.
     """
     block = _PHASOR_BLOCK
-    table = np.exp(-2j * np.pi * alpha_ts * np.arange(min(block, m)))
+    table = _phasor_table(alpha_ts)
     if m <= block:
-        return table
+        return table[:m].copy()
     n_blocks = -(-m // block)
     # Reduce the block-start angles mod 1 before exponentiating.
     start_cycles = (alpha_ts * block) * np.arange(n_blocks) % 1.0

@@ -30,6 +30,9 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # +inf turns noise off; NaN and -inf would silently do the same.
+        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
+            raise ConfigurationError(f"snr_db must be finite or +inf, got {self.snr_db}")
         if self.num_taps < 1:
             raise ConfigurationError("num_taps must be >= 1")
         if not self.pdp_decay > 0:

@@ -67,8 +67,13 @@ class SweepConfig:
             raise ConfigurationError("n_trials must be >= 1")
         if not self.snr_db_list or not self.observation_times_s or not self.p_f_list:
             raise ConfigurationError("sweep lists must be nonempty")
+        # Build each trial channel and detector config once, so a bad SNR or
+        # P_F anywhere in the lists fails before any trial runs.
+        for snr_db in self.snr_db_list:
+            replace(REFERENCE_CHANNEL, snr_db=snr_db)
+        det_cfgs = [DetectorConfig(p_f, self.threshold_mode) for p_f in self.p_f_list]
         fs = default_sample_rate(self.standard)
-        need = minimum_samples(DetectorConfig(self.p_f_list[0], self.threshold_mode), fs)
+        need = minimum_samples(det_cfgs[0], fs)
         for t in self.observation_times_s:
             if not (np.isfinite(t) and round(t * fs) >= need):
                 raise ConfigurationError(

@@ -100,29 +100,35 @@ def gsm_bit_schedule(cfg: GsmSynthConfig) -> tuple[np.ndarray, np.ndarray]:
     off by the next slot boundary at 156.25 symbols (continuous-carrier
     model: the modulator keeps running through the guard).
     """
+    n = cfg.num_slots
+    # The random bits of each slot are drawn as 57, 1, 1, 57 and 9 int8
+    # values, in that order. An int8 draw takes one byte per value from
+    # 32-bit words and drops the unused bytes of its last word, so each draw
+    # uses ceil(count / 4) words. One (n, 140)-value draw therefore replays
+    # the same stream: the five draws sit at columns [0:57], [60], [64],
+    # [68:125] and [128:137]. This relies on numpy's Generator internals;
+    # tests/test_waveform_synth.py pins it against the per-draw loop.
     rng = np.random.default_rng(cfg.seed)
+    draws = rng.integers(0, 2, (n, 140), dtype=np.int8)
     tsc = GSM_TRAINING_SEQUENCES[cfg.training_sequence_index]
-    tail = np.zeros(3, dtype=np.int8)
+    tail = np.zeros((n, 3), dtype=np.int8)
+    bits = np.concatenate(
+        [
+            tail,
+            draws[:, 0:57],
+            draws[:, 60:61],
+            np.broadcast_to(tsc, (n, GSM_TRAINING_LEN)),
+            draws[:, 64:65],
+            draws[:, 68:125],
+            tail,
+            draws[:, 128 : 128 + _GUARD_BITS],
+        ],
+        axis=1,
+    ).ravel()
 
-    starts = np.empty(cfg.num_slots * GSM_SLOT_SCHEDULE_LEN, dtype=np.float64)
-    bits = np.empty_like(starts, dtype=np.int8)
+    slot_starts = np.arange(n, dtype=np.float64) * float(GSM_SLOT_SYMBOLS)
     offsets = np.arange(GSM_SLOT_SCHEDULE_LEN, dtype=np.float64)
-    for s in range(cfg.num_slots):
-        slot_bits = np.concatenate(
-            [
-                tail,
-                rng.integers(0, 2, 57, dtype=np.int8),
-                rng.integers(0, 2, 1, dtype=np.int8),
-                tsc,
-                rng.integers(0, 2, 1, dtype=np.int8),
-                rng.integers(0, 2, 57, dtype=np.int8),
-                tail,
-                rng.integers(0, 2, _GUARD_BITS, dtype=np.int8),
-            ]
-        )
-        lo = s * GSM_SLOT_SCHEDULE_LEN
-        starts[lo : lo + GSM_SLOT_SCHEDULE_LEN] = float(s) * float(GSM_SLOT_SYMBOLS) + offsets
-        bits[lo : lo + GSM_SLOT_SCHEDULE_LEN] = slot_bits
+    starts = (slot_starts[:, None] + offsets[None, :]).ravel()
     return starts, bits
 
 
@@ -271,27 +277,37 @@ def synth_lte(cfg: LteSynthConfig) -> IqBuffer:
     rs_cols0, rs_vals0, rs_cols4, rs_vals4, sss = _cell_constants(cfg)
     pss = _pss_sequence()
 
-    n_symbols = cfg.num_slots * LTE_SYMBOLS_PER_SLOT
-    grid = np.zeros((n_symbols, cfg.fft_size), dtype=np.complex128)
-    for s in range(cfg.num_slots):
-        slot_in_frame = s % LTE_SLOTS_PER_FRAME
-        sync_slot = slot_in_frame in (0, 10)
-        for sym in range(LTE_SYMBOLS_PER_SLOT):
-            row = s * LTE_SYMBOLS_PER_SLOT + sym
-            if sync_slot and sym == 6:
-                grid[row, sync_bins] = pss
-                continue
-            if sync_slot and sym == 5:
-                grid[row, sync_bins] = sss
-                continue
-            data = _QPSK[rng.integers(0, 4, nsc)]
-            if cfg.data_occupancy < 1.0:
-                data = data * (rng.random(nsc) < cfg.data_occupancy)
-            grid[row, data_bins] = data
-            if sym == 0:
-                grid[row, data_bins[rs_cols0]] = rs_vals0
-            elif sym == 4:
-                grid[row, data_bins[rs_cols4]] = rs_vals4
+    rows = np.arange(cfg.num_slots * LTE_SYMBOLS_PER_SLOT)
+    sym = rows % LTE_SYMBOLS_PER_SLOT
+    sync_slot = np.isin(rows // LTE_SYMBOLS_PER_SLOT % LTE_SLOTS_PER_FRAME, (0, 10))
+    pss_rows = rows[sync_slot & (sym == 6)]
+    sss_rows = rows[sync_slot & (sym == 5)]
+    data_rows = rows[~(sync_slot & (sym >= 5))]
+
+    # Each data row, in row order, draws nsc integers(0, 4) and then, when
+    # data_occupancy < 1, nsc random() doubles. The integers take one 32-bit
+    # half of a 64-bit word each, low half first, as value = half >> 30; the
+    # doubles take one word each, as (word >> 11) * 2**-53. nsc = 12 * n_rb is
+    # even, so no half-word carries from one row to the next, and one
+    # (rows, nsc/2 [+ nsc]) draw of raw words replays the same stream. This
+    # relies on numpy's Generator internals; tests/test_waveform_synth.py pins
+    # it against the per-symbol loop.
+    thinned = cfg.data_occupancy < 1.0
+    words = rng.integers(0, 2**64, (data_rows.size, nsc // 2 + nsc * thinned), dtype=np.uint64)
+    # Top two bits of the low half, then of the high half.
+    qpsk_index = (words[:, : nsc // 2, None] >> np.array([30, 62], dtype=np.uint64)) & np.uint64(3)
+    data = _QPSK[qpsk_index.reshape(data_rows.size, nsc)]
+    if thinned:
+        uniform = (words[:, nsc // 2 :] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        data = data * (uniform < cfg.data_occupancy)
+
+    grid = np.zeros((rows.size, cfg.fft_size), dtype=np.complex128)
+    grid[np.ix_(pss_rows, sync_bins)] = pss
+    grid[np.ix_(sss_rows, sync_bins)] = sss
+    grid[np.ix_(data_rows, data_bins)] = data
+    # Reference signals overwrite the data of symbols 0 and 4.
+    grid[np.ix_(rows[sym == 0], data_bins[rs_cols0])] = rs_vals0
+    grid[np.ix_(rows[sym == 4], data_bins[rs_cols4])] = rs_vals4
 
     bodies = np.fft.ifft(grid, axis=1)
 

@@ -13,7 +13,7 @@ from cyclodet import (
     spectrum_to_csv,
     synth_noise,
 )
-from cyclodet.ccf_estimator import unit_phasors
+from cyclodet.ccf_estimator import _phasor_table, unit_phasors
 
 
 def _buf(samples, fs=1.0):
@@ -161,6 +161,39 @@ def test_phasor_grid_accuracy_on_long_buffers():
     direct = np.exp(-2j * np.pi * ((alpha_ts * n) % 1.0))
     assert np.max(np.abs(fast - direct)) < 1e-10
     assert np.max(np.abs(np.abs(fast) - 1.0)) < 1e-12
+
+
+def _unit_phasors_uncached(alpha_ts, m):
+    """Reference: the block formula with the table built on every call."""
+    block = 1 << 14
+    table = np.exp(-2j * np.pi * alpha_ts * np.arange(min(block, m)))
+    if m <= block:
+        return table
+    n_blocks = -(-m // block)
+    start_cycles = (alpha_ts * block) * np.arange(n_blocks) % 1.0
+    carriers = np.exp(-2j * np.pi * start_cycles)
+    return (carriers[:, None] * table[None, :]).ravel()[:m]
+
+
+@pytest.mark.parametrize("m", [1, 100, 16384, 16385, 96000, 1_000_001])
+def test_cached_phasors_match_uncached_formula(m):
+    for alpha_ts in (26000 / 15 / (1625000 / 6 * 4), 2000 / 1.92e6, 0.0731):
+        fast = unit_phasors(alpha_ts, m)
+        ref = _unit_phasors_uncached(alpha_ts, m)
+        assert fast.dtype == ref.dtype
+        np.testing.assert_array_equal(fast, ref)
+
+
+def test_phasor_cache_hands_out_fresh_arrays():
+    alpha_ts = 0.0417
+    for m in (100, 40_000):
+        first = unit_phasors(alpha_ts, m)
+        expected = first.copy()
+        first[:] = 0.0
+        np.testing.assert_array_equal(unit_phasors(alpha_ts, m), expected)
+    assert not _phasor_table(alpha_ts).flags.writeable
+    # At most 16 tables of 2**14 complex128 values: 4 MB.
+    assert _phasor_table.cache_info().maxsize == 16
 
 
 def test_spectrum_csv_round_trip(tmp_path):

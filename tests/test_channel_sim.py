@@ -126,3 +126,7 @@ def test_config_validation():
         ChannelConfig(snr_db=0.0, timing_offset_slot_samples=0)
     with pytest.raises(ConfigurationError):
         ChannelConfig(snr_db=0.0, pdp_decay=0.0)
+    # NaN and -inf would silently turn noise off; only +inf means that.
+    for snr_db in (np.nan, -np.inf):
+        with pytest.raises(ConfigurationError, match=str(snr_db)):
+            ChannelConfig(snr_db=snr_db)

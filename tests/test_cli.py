@@ -126,6 +126,15 @@ def test_sweep_csv_matches_figure_csv(tmp_path):
     assert out.read_bytes() == fig.read_bytes()
 
 
+@pytest.mark.parametrize("snr", ["-inf", "nan"])
+def test_sweep_rejects_non_finite_snr(tmp_path, snr):
+    # Either value used to run every trial noiseless and write Pd = 1.
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--standard", "gsm", f"--snr={snr}", "--obs-ms", "10",
+                "--trials", "5", "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_calibrate_prints_threshold(capsys):
     assert run(["calibrate", "--mr", "2000", "--pf", "0.01", "--trials", "20000"]) == 0
     value = float(capsys.readouterr().out.strip())

@@ -19,6 +19,7 @@ from cyclodet import (
     run_false_alarm,
     slot_samples,
 )
+from cyclodet import experiment_harness
 from cyclodet.detector import minimum_samples
 from cyclodet.experiment_harness import _trial_seeds, reference_waveform, run_single_trial
 
@@ -115,6 +116,30 @@ def test_sweep_rejects_too_short_observation():
                 observation_times_s=(obs_s,),
                 p_f_list=(0.01,),
             )
+
+
+@pytest.mark.parametrize(
+    "snrs,p_fs,bad",
+    [
+        ((0.0,), (0.01, 2.0), "2.0"),
+        ((0.0, np.nan), (0.01,), "nan"),
+        ((0.0, -np.inf), (0.01,), "-inf"),
+    ],
+)
+def test_sweep_rejects_any_bad_entry_before_trials(monkeypatch, snrs, p_fs, bad):
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the sweep lists were checked")
+
+    monkeypatch.setattr(experiment_harness, "run_single_trial", no_trials)
+    with pytest.raises(ConfigurationError, match=bad):
+        cfg = SweepConfig(
+            standard=Standard.GSM,
+            snr_db_list=snrs,
+            observation_times_s=(0.01,),
+            p_f_list=p_fs,
+            n_trials=200,
+        )
+        run_detection_sweep(cfg)
 
 
 @pytest.mark.parametrize("std", [Standard.GSM, Standard.LTE])

@@ -12,13 +12,105 @@ from cyclodet import (
     synth_lte,
     synth_noise,
 )
+from cyclodet import waveform_synth
 from cyclodet.waveform_synth import (
     GSM_SLOT_SCHEDULE_LEN,
+    GSM_SLOT_SYMBOLS,
     GSM_TRAINING_LEN,
     GSM_TRAINING_OFFSET,
     GSM_TRAINING_SEQUENCES,
+    LTE_SLOTS_PER_FRAME,
+    LTE_SYMBOLS_PER_SLOT,
+    _QPSK,
+    _cell_constants,
+    _pss_sequence,
     gsm_bit_schedule,
 )
+
+# Seeds for the loop-reference tests, including one above 2**62; the
+# 1000-slot cases use only that one, to keep the suite fast.
+_REFERENCE_SEEDS = (0, 5, 2**62 + 3)
+
+
+def _reference_cases(slot_counts):
+    return [
+        (num_slots, seed)
+        for num_slots in slot_counts
+        for seed in (_REFERENCE_SEEDS if num_slots < 1000 else _REFERENCE_SEEDS[-1:])
+    ]
+
+
+def _gsm_bit_schedule_loop(cfg):
+    """Reference: the per-slot schedule with one RNG call per bit field."""
+    rng = np.random.default_rng(cfg.seed)
+    tsc = GSM_TRAINING_SEQUENCES[cfg.training_sequence_index]
+    tail = np.zeros(3, dtype=np.int8)
+    starts = np.empty(cfg.num_slots * GSM_SLOT_SCHEDULE_LEN, dtype=np.float64)
+    bits = np.empty_like(starts, dtype=np.int8)
+    offsets = np.arange(GSM_SLOT_SCHEDULE_LEN, dtype=np.float64)
+    for s in range(cfg.num_slots):
+        slot_bits = np.concatenate(
+            [
+                tail,
+                rng.integers(0, 2, 57, dtype=np.int8),
+                rng.integers(0, 2, 1, dtype=np.int8),
+                tsc,
+                rng.integers(0, 2, 1, dtype=np.int8),
+                rng.integers(0, 2, 57, dtype=np.int8),
+                tail,
+                rng.integers(0, 2, 9, dtype=np.int8),
+            ]
+        )
+        lo = s * GSM_SLOT_SCHEDULE_LEN
+        starts[lo : lo + GSM_SLOT_SCHEDULE_LEN] = float(s) * float(GSM_SLOT_SYMBOLS) + offsets
+        bits[lo : lo + GSM_SLOT_SCHEDULE_LEN] = slot_bits
+    return starts, bits
+
+
+def _synth_lte_loop(cfg):
+    """Reference: synth_lte with the per-symbol grid loop and its RNG calls."""
+    rng = np.random.default_rng(cfg.seed)
+    nsc = 12 * cfg.n_rb
+    half = nsc // 2
+    data_bins = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)]) % cfg.fft_size
+    sync_bins = np.concatenate([np.arange(-31, 0), np.arange(1, 32)]) % cfg.fft_size
+    rs_cols0, rs_vals0, rs_cols4, rs_vals4, sss = _cell_constants(cfg)
+    pss = _pss_sequence()
+
+    grid = np.zeros((cfg.num_slots * LTE_SYMBOLS_PER_SLOT, cfg.fft_size), dtype=np.complex128)
+    for s in range(cfg.num_slots):
+        sync_slot = s % LTE_SLOTS_PER_FRAME in (0, 10)
+        for sym in range(LTE_SYMBOLS_PER_SLOT):
+            row = s * LTE_SYMBOLS_PER_SLOT + sym
+            if sync_slot and sym == 6:
+                grid[row, sync_bins] = pss
+                continue
+            if sync_slot and sym == 5:
+                grid[row, sync_bins] = sss
+                continue
+            data = _QPSK[rng.integers(0, 4, nsc)]
+            if cfg.data_occupancy < 1.0:
+                data = data * (rng.random(nsc) < cfg.data_occupancy)
+            grid[row, data_bins] = data
+            if sym == 0:
+                grid[row, data_bins[rs_cols0]] = rs_vals0
+            elif sym == 4:
+                grid[row, data_bins[rs_cols4]] = rs_vals4
+
+    bodies = np.fft.ifft(grid, axis=1)
+    n = cfg.fft_size
+    slot_index = np.concatenate(
+        [k * n + np.r_[n - n_cp : n, 0:n] for k, n_cp in enumerate(cfg.cp_lengths)]
+    )
+    out = bodies.reshape(cfg.num_slots, -1)[:, slot_index].ravel()
+    return out / np.sqrt(np.mean(np.abs(out) ** 2))
+
+
+def _assert_bit_equal(a, b):
+    """Equal values, dtype and signs of zero."""
+    assert a.dtype == b.dtype
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a.view(np.float64)), np.signbit(b.view(np.float64)))
 
 
 # ---------------------------------------------------------------- GSM
@@ -65,6 +157,25 @@ def test_gsm_determinism_and_seed_sensitivity():
     c = synth_gsm(GsmSynthConfig(num_slots=6, seed=43))
     np.testing.assert_array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
+
+
+@pytest.mark.parametrize("guard_mode", ["random_bits", "gated"])
+@pytest.mark.parametrize("tsc", [0, 7])
+def test_gsm_schedule_matches_per_slot_loop(guard_mode, tsc, monkeypatch):
+    for num_slots, seed in _reference_cases((2, 37, 1000)):
+        cfg = GsmSynthConfig(
+            num_slots=num_slots, seed=seed, guard_mode=guard_mode, training_sequence_index=tsc
+        )
+        starts, bits = gsm_bit_schedule(cfg)
+        ref_starts, ref_bits = _gsm_bit_schedule_loop(cfg)
+        assert bits.dtype == ref_bits.dtype == np.int8
+        np.testing.assert_array_equal(bits, ref_bits)
+        _assert_bit_equal(starts, ref_starts)
+
+        samples = synth_gsm(cfg).samples
+        with monkeypatch.context() as m:
+            m.setattr(waveform_synth, "gsm_bit_schedule", _gsm_bit_schedule_loop)
+            _assert_bit_equal(samples, synth_gsm(cfg).samples)
 
 
 def test_gsm_gated_guard_drops_power():
@@ -187,6 +298,19 @@ def test_lte_data_occupancy_thins_grid():
     occupied = np.sum(np.abs(used) > 1e-6)
     assert occupied < 72 * 0.35  # Bernoulli(0.1) over 72 REs
     assert not np.array_equal(full.samples, thin.samples)
+
+
+@pytest.mark.parametrize("occupancy", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("fft_size,n_rb", [(128, 6), (512, 25)])
+def test_lte_matches_per_symbol_loop(occupancy, fft_size, n_rb):
+    # 1 slot holds sync slot 0 only, 11 crosses sync slot 10, 21 crosses the
+    # 20-slot frame boundary into the next sync slot.
+    for num_slots, seed in _reference_cases((1, 11, 21, 1000)):
+        cfg = LteSynthConfig(
+            num_slots=num_slots, n_rb=n_rb, fft_size=fft_size, seed=seed,
+            data_occupancy=occupancy,
+        )
+        _assert_bit_equal(synth_lte(cfg).samples, _synth_lte_loop(cfg))
 
 
 @pytest.mark.parametrize(
