@@ -12,8 +12,8 @@ The same steps are available from the command line:
 
     cyclodet synth-gsm --slots 60 --oversample 16 --guard-mode gated \
         --seed 3 --out wide.iq
-    cyclodet channel --in wide.iq --snr-db 10 --timing-offset uniform \
-        --standard gsm --seed 4 --out rx.iq
+    cyclodet channel --in wide.iq --snr-db 10 --standard gsm \
+        --seed 4 --out rx.iq
     cyclodet decimate --in rx.iq --factor 4 --out rx_low.iq
     cyclodet classify --in rx_low.iq --pf 0.01
 """

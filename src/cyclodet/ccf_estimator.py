@@ -103,9 +103,9 @@ def ccf_spectrum(r: IqBuffer, tau_samples: int, max_alpha_hz: float) -> CcfSpect
     m = r.m_r
     if not 0 <= tau_samples < m:
         raise ValueError(f"tau_samples must be in [0, {m}), got {tau_samples}")
-    if max_alpha_hz > r.sample_rate_hz / 2:
+    if not 0 <= max_alpha_hz <= r.sample_rate_hz / 2:
         raise ValueError(
-            f"max_alpha_hz {max_alpha_hz} exceeds Nyquist {r.sample_rate_hz / 2}"
+            f"max_alpha_hz must be in [0, Nyquist {r.sample_rate_hz / 2}], got {max_alpha_hz}"
         )
     if tau_samples:
         lag = np.zeros(m, dtype=np.complex128)

@@ -76,19 +76,11 @@ def _cmd_synth_lte(args: argparse.Namespace) -> int:
 
 def _cmd_channel(args: argparse.Namespace) -> int:
     buf = load_iq(args.infile)
-    offset_samples = None
-    if args.timing_offset == "uniform":
-        if args.timing_slot_samples is not None:
-            offset_samples = args.timing_slot_samples
-        elif args.standard is not None:
-            std = Standard.parse(args.standard)
-            offset_samples = int(
-                round(float(profile_for(std).slot_duration_s) * buf.sample_rate_hz)
-            )
-        else:
-            raise ConfigurationError(
-                "--timing-offset uniform needs --timing-slot-samples or --standard"
-            )
+    # A slot length, given or derived from a standard, turns on the offset.
+    offset_samples = args.timing_slot_samples
+    if args.standard is not None:
+        slot_s = profile_for(Standard.parse(args.standard)).slot_duration_s
+        offset_samples = int(round(float(slot_s) * buf.sample_rate_hz))
     cfg = ChannelConfig(
         snr_db=args.snr_db,
         num_taps=args.taps,
@@ -164,20 +156,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-gsm", help="generate a GMSK burst train")
     p.add_argument("--slots", type=int, required=True)
-    p.add_argument("--oversample", type=int, default=4)
-    p.add_argument("--tsc", type=int, default=0, help="training sequence index 0..7")
-    p.add_argument("--guard-mode", choices=GUARD_MODES, default="random_bits")
+    p.add_argument("--oversample", type=int, default=GsmSynthConfig.oversample)
+    p.add_argument("--tsc", type=int, default=GsmSynthConfig.training_sequence_index,
+                   help="training sequence index 0..7")
+    p.add_argument("--guard-mode", choices=GUARD_MODES, default=GsmSynthConfig.guard_mode)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth_gsm)
 
     p = sub.add_parser("synth-lte", help="generate an LTE downlink slot train")
     p.add_argument("--slots", type=int, required=True)
-    p.add_argument("--rb", type=int, default=6, help="resource blocks")
-    p.add_argument("--fft-size", type=int, default=128)
-    p.add_argument("--rs-boost-db", type=float, default=2.5)
-    p.add_argument("--cell-seed", type=int, default=1)
-    p.add_argument("--occupancy", type=float, default=1.0, help="data RE fill fraction")
+    p.add_argument("--rb", type=int, default=LteSynthConfig.n_rb, help="resource blocks")
+    p.add_argument("--fft-size", type=int, default=LteSynthConfig.fft_size)
+    p.add_argument("--rs-boost-db", type=float, default=LteSynthConfig.rs_power_boost_db)
+    p.add_argument("--cell-seed", type=int, default=LteSynthConfig.cell_seed)
+    p.add_argument("--occupancy", type=float, default=LteSynthConfig.data_occupancy,
+                   help="data RE fill fraction")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth_lte)
@@ -185,13 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("channel", help="fade, offset, rotate, and add noise")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--snr-db", type=float, required=True)
-    p.add_argument("--taps", type=int, default=4)
-    p.add_argument("--decay", type=float, default=5.0)
-    p.add_argument("--timing-offset", choices=("none", "uniform"), default="none")
-    p.add_argument("--timing-slot-samples", type=int, default=None)
-    p.add_argument("--standard", choices=("gsm", "lte"), default=None,
-                   help="derive the uniform-offset slot length from a standard")
-    p.add_argument("--cfo-hz", type=float, default=0.0)
+    p.add_argument("--taps", type=int, default=ChannelConfig.num_taps)
+    p.add_argument("--decay", type=float, default=ChannelConfig.pdp_decay)
+    offset = p.add_mutually_exclusive_group()
+    offset.add_argument("--timing-slot-samples", type=int,
+                        help="uniform timing offset over [0, N) samples")
+    offset.add_argument("--standard", choices=("gsm", "lte"),
+                        help="uniform timing offset over one slot of this standard")
+    p.add_argument("--cfo-hz", type=float, default=ChannelConfig.cfo_hz)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_channel)
@@ -206,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="run the detector; prints the decision report")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--pf", type=float, default=1e-2)
-    p.add_argument("--mode", choices=THRESHOLD_MODES, default="calibrated")
+    p.add_argument("--mode", choices=THRESHOLD_MODES, default=DetectorConfig.threshold_mode)
     p.add_argument("--profiles", default="gsm,lte")
     p.add_argument("--json", action="store_true", help="emit a JSON record instead of CSV")
     p.set_defaults(func=_cmd_classify)
@@ -216,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", required=True, help="comma list or start:step:stop")
     p.add_argument("--obs-ms", required=True, help="comma list of observation times, ms")
     p.add_argument("--pf", default="0.01", help="comma list of false-alarm targets")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--mode", choices=THRESHOLD_MODES, default="calibrated")
+    p.add_argument("--trials", type=int, default=SweepConfig.n_trials)
+    p.add_argument("--mode", choices=THRESHOLD_MODES, default=SweepConfig.threshold_mode)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
@@ -225,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="empirical null threshold for unit power")
     p.add_argument("--mr", type=int, required=True)
     p.add_argument("--pf", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int, default=DetectorConfig.empirical_null_trials)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("decimate", help="anti-aliased sample-rate reduction")

@@ -25,7 +25,7 @@ from .signal_model import (
     StandardProfile,
 )
 
-THRESHOLD_MODES = ("uncalibrated", "calibrated", "empirical_null")
+THRESHOLD_MODES = ("calibrated", "empirical_null")
 
 # Fixed seed for the empirical-null Monte Carlo so classify stays deterministic.
 _NULL_SEED = 0x5EED_CA1B
@@ -124,29 +124,26 @@ def _unit_null_quantile(p_f: float, m_r: int, trials: int) -> float:
 def threshold(cfg: DetectorConfig, sigma_r_sq: float, m_r: int) -> float:
     """Detection threshold for the configured false-alarm probability.
 
+    Every mode returns sigma_r_sq times a unit-power threshold: the
+    noise-only statistic is exactly proportional to the received power.
+
     calibrated (default): Gamma = sigma_r_sq * sqrt(-ln(p_f) / m_r), from the
     asymptotic Rayleigh law of the noise-only statistic whose real/imag parts
-    each have variance sigma_r_sq**2 / (2 m_r). This is the only closed form
-    that holds the false-alarm rate across record lengths.
-
-    uncalibrated: Gamma = sqrt(-sigma_r_sq * ln p_f), the direct inversion of
-    P_F = exp(-Gamma^2 / sigma_r^2) on the received-power estimate. Kept for
-    comparison; it has no m_r dependence and is not CFAR across record
-    lengths.
+    each have variance sigma_r_sq**2 / (2 m_r). This closed form holds the
+    false-alarm rate across record lengths.
 
     empirical_null: the (1 - p_f) quantile of the statistic over
-    ``empirical_null_trials`` noise-only draws of length m_r, scaled by
-    sigma_r_sq (the null statistic is exactly proportional to power).
+    ``empirical_null_trials`` unit-power noise-only draws of length m_r.
     """
     if not 0 < sigma_r_sq < np.inf:
         raise ConfigurationError(f"sigma_r_sq must be finite and > 0, got {sigma_r_sq}")
     if m_r < 1:
         raise ConfigurationError(f"m_r must be >= 1, got {m_r}")
-    if cfg.threshold_mode == "uncalibrated":
-        return float(np.sqrt(-sigma_r_sq * np.log(cfg.p_f)))
     if cfg.threshold_mode == "calibrated":
-        return float(sigma_r_sq * np.sqrt(-np.log(cfg.p_f) / m_r))
-    return sigma_r_sq * _unit_null_quantile(cfg.p_f, m_r, cfg.empirical_null_trials)
+        unit = float(np.sqrt(-np.log(cfg.p_f) / m_r))
+    else:
+        unit = _unit_null_quantile(cfg.p_f, m_r, cfg.empirical_null_trials)
+    return float(sigma_r_sq * unit)
 
 
 @dataclass(frozen=True)

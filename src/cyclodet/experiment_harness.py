@@ -4,6 +4,7 @@ for the standard set of result figures."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -60,7 +61,7 @@ class SweepConfig:
     p_f_list: tuple[float, ...] = (1e-2,)
     n_trials: int = 1000
     master_seed: int = 0
-    threshold_mode: str = "calibrated"
+    threshold_mode: str = DetectorConfig.threshold_mode
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
@@ -113,10 +114,10 @@ class SweepResult:
 
     def cell(self, snr_db: float, obs_time_s: float, p_f: float) -> SweepCell:
         for c in self.cells:
-            if (
-                np.isclose(c.snr_db, snr_db)
-                and np.isclose(c.obs_time_s, obs_time_s)
-                and np.isclose(c.p_f, p_f)
+            # Relative tolerance only: P_F targets can sit far below any absolute one.
+            if all(
+                math.isclose(a, b, rel_tol=1e-9)
+                for a, b in ((c.snr_db, snr_db), (c.obs_time_s, obs_time_s), (c.p_f, p_f))
             ):
                 return c
         raise KeyError(f"no cell ({snr_db}, {obs_time_s}, {p_f})")
@@ -199,21 +200,26 @@ def run_false_alarm(
     m_r: int,
     p_f: float,
     n_trials: int,
-    mode: str = "calibrated",
+    mode: str = DetectorConfig.threshold_mode,
     profile: Optional[StandardProfile] = None,
     master_seed: int = 0,
 ) -> float:
     """Fraction of noise-only trials a given profile's test declares detected.
 
     Uses the classifier's leakage-corrected statistic in its noise-only form
-    (``centered_power_statistic``), with the phasor grid hoisted out of the
-    trial loop. Noise is drawn at the profile's trial sample rate.
+    (``centered_power_statistic``), with the phasor grid and the unit-power
+    threshold hoisted out of the trial loop; each trial scales the threshold
+    by its own sigma_r^2, as ``threshold`` does. Noise is drawn at the
+    profile's trial sample rate.
     """
+    if not 0 < noise_power < np.inf:
+        raise ConfigurationError(f"noise_power must be finite and > 0, got {noise_power}")
     if profile is None:
         profile = profile_for(Standard.GSM)
     det_cfg = DetectorConfig(p_f=p_f, threshold_mode=mode, profiles=(profile,))
     alpha_ts = profile.fundamental_cf_float / default_sample_rate(profile.standard)
     phasors = unit_phasors(alpha_ts, m_r)
+    unit = threshold(det_cfg, 1.0, m_r)
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0xFA)))
     hits = 0
     for _ in range(n_trials):
@@ -222,7 +228,7 @@ def run_false_alarm(
         )
         power = np.abs(noise) ** 2
         stat = centered_power_statistic(power, phasors)
-        hits += stat > threshold(det_cfg, float(power.mean()), m_r)
+        hits += stat > float(power.mean()) * unit
     return hits / n_trials
 
 

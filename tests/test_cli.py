@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from cyclodet import IqFileMeta, emit_figure_data, load_iq
-from cyclodet.cli import main
+from cyclodet import (
+    ChannelConfig,
+    DetectorConfig,
+    GsmSynthConfig,
+    IqFileMeta,
+    LteSynthConfig,
+    SweepConfig,
+    apply_channel,
+    emit_figure_data,
+    load_iq,
+    save_iq,
+)
+from cyclodet.cli import build_parser, main
 
 
 def run(argv):
@@ -30,8 +41,7 @@ def test_full_pipeline_classify_detects_gsm(tmp_path, capsys):
     rx = tmp_path / "rx.iq"
     assert run(["synth-gsm", "--slots", "60", "--guard-mode", "gated",
                 "--seed", "7", "--out", str(clean)]) == 0
-    assert run(["channel", "--in", str(clean), "--snr-db", "15",
-                "--timing-offset", "uniform", "--standard", "gsm",
+    assert run(["channel", "--in", str(clean), "--snr-db", "15", "--standard", "gsm",
                 "--seed", "9", "--out", str(rx)]) == 0
     code = run(["classify", "--in", str(rx), "--pf", "0.01", "--mode", "calibrated",
                 "--profiles", "gsm,lte"])
@@ -59,13 +69,53 @@ def test_classify_json_and_negative_exit(tmp_path, capsys):
         assert code == 0
 
 
-def test_channel_uniform_offset_needs_slot_length(tmp_path, capsys):
+def test_channel_slot_length_turns_on_uniform_offset(tmp_path):
     clean = tmp_path / "c.iq"
-    run(["synth-gsm", "--slots", "4", "--seed", "1", "--out", str(clean)])
-    code = run(["channel", "--in", str(clean), "--snr-db", "10",
-                "--timing-offset", "uniform", "--seed", "2",
-                "--out", str(tmp_path / "o.iq")])
-    assert code == 2
+    run(["synth-gsm", "--slots", "8", "--seed", "1", "--out", str(clean)])
+    ref = tmp_path / "ref.iq"
+    cfg = ChannelConfig(snr_db=np.inf, num_taps=1, timing_offset_slot_samples=625, seed=3)
+    save_iq(apply_channel(load_iq(clean), cfg), ref)
+    common = ["channel", "--in", str(clean), "--snr-db", "inf", "--taps", "1", "--seed", "3"]
+    for i, flags in enumerate((["--timing-slot-samples", "625"], ["--standard", "gsm"], [])):
+        out = tmp_path / f"o{i}.iq"
+        assert run(common + flags + ["--out", str(out)]) == 0
+        # Either flag alone gives the 625-sample GSM slot offset; neither, none.
+        assert (out.read_bytes() == ref.read_bytes()) == bool(flags)
+    with pytest.raises(SystemExit) as exc:
+        run(common + ["--timing-slot-samples", "625", "--standard", "gsm",
+                      "--out", str(tmp_path / "both.iq")])
+    assert exc.value.code == 2
+
+
+def test_parser_defaults_come_from_the_configs():
+    def parse(*argv):
+        return vars(build_parser().parse_args(list(argv)))
+
+    out = ("--out", "x.iq")
+    cases = [
+        (parse("synth-gsm", "--slots", "1", "--seed", "0", *out), GsmSynthConfig,
+         {"oversample": "oversample", "tsc": "training_sequence_index",
+          "guard_mode": "guard_mode"}),
+        (parse("synth-lte", "--slots", "1", "--seed", "0", *out), LteSynthConfig,
+         {"rb": "n_rb", "fft_size": "fft_size", "rs_boost_db": "rs_power_boost_db",
+          "cell_seed": "cell_seed", "occupancy": "data_occupancy"}),
+        (parse("channel", "--in", "x", "--snr-db", "0", "--seed", "0", *out), ChannelConfig,
+         {"taps": "num_taps", "decay": "pdp_decay", "cfo_hz": "cfo_hz"}),
+        (parse("classify", "--in", "x"), DetectorConfig, {"mode": "threshold_mode"}),
+        (parse("sweep", "--standard", "gsm", "--snr", "0", "--obs-ms", "10", "--seed", "0",
+               *out), SweepConfig, {"mode": "threshold_mode", "trials": "n_trials"}),
+        (parse("calibrate", "--mr", "100", "--pf", "0.01"), DetectorConfig,
+         {"trials": "empirical_null_trials"}),
+    ]
+    for args, config, fields in cases:
+        for dest, field in fields.items():
+            assert args[dest] == getattr(config, field), (config.__name__, dest)
+
+
+def test_classify_rejects_removed_uncalibrated_mode(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", "--in", str(tmp_path / "x.iq"), "--mode", "uncalibrated"])
+    assert exc.value.code == 2
 
 
 def test_ccf_spectrum_csv(tmp_path):
@@ -77,6 +127,18 @@ def test_ccf_spectrum_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "alpha_hz,magnitude"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("max_alpha", ["-100", "-1000000"])
+def test_ccf_spectrum_rejects_negative_max_alpha(tmp_path, capsys, max_alpha):
+    # -100 used to write a header-only CSV; -1e6 failed on an internal check.
+    clean = tmp_path / "c.iq"
+    run(["synth-gsm", "--slots", "4", "--seed", "2", "--out", str(clean)])
+    out = tmp_path / "spec.csv"
+    assert run(["ccf-spectrum", "--in", str(clean), f"--max-alpha={max_alpha}",
+                "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"got {float(max_alpha)}" in capsys.readouterr().err
 
 
 def test_decimate_halves_rate(tmp_path):

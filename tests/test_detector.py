@@ -27,7 +27,7 @@ from cyclodet import (
     threshold,
 )
 from cyclodet.ccf_estimator import unit_phasors
-from cyclodet.detector import centered_power_statistic, minimum_samples
+from cyclodet.detector import THRESHOLD_MODES, centered_power_statistic, minimum_samples
 
 
 # ------------------------------------------------------------- variance
@@ -48,12 +48,6 @@ def test_variance_concentration():
 
 
 # ------------------------------------------------------------- thresholds
-
-def test_uncalibrated_threshold_value():
-    cfg = DetectorConfig(p_f=1e-2, threshold_mode="uncalibrated")
-    # sqrt(ln 100) = 2.1459660263...
-    assert threshold(cfg, 1.0, 10_000) == pytest.approx(2.1459660263, abs=1e-9)
-
 
 def test_calibrated_threshold_value():
     cfg = DetectorConfig(p_f=1e-2)
@@ -77,7 +71,7 @@ def test_calibrated_matches_empirical_null_quantile():
 
 
 def test_threshold_monotone_decreasing_in_pf():
-    for mode in ("uncalibrated", "calibrated", "empirical_null"):
+    for mode in ("calibrated", "empirical_null"):
         gammas = [
             threshold(
                 DetectorConfig(p_f=pf, threshold_mode=mode, empirical_null_trials=20_000),
@@ -87,6 +81,21 @@ def test_threshold_monotone_decreasing_in_pf():
             for pf in (1e-3, 1e-2, 1e-1, 0.5)
         ]
         assert all(a > b for a, b in zip(gammas, gammas[1:]))
+
+
+@pytest.mark.parametrize("mode", THRESHOLD_MODES)
+def test_threshold_is_power_times_unit_threshold(mode):
+    # One threshold law: every mode scales a unit-power threshold by sigma_r^2,
+    # bit for bit, which is what keeps the decision invariant to gain.
+    cfg = DetectorConfig(p_f=0.01, threshold_mode=mode, empirical_null_trials=2000)
+    unit = threshold(cfg, 1.0, 2000)
+    for s in (1e-6, 0.37, 2.0, 1e6):
+        assert threshold(cfg, s, 2000) == s * unit
+
+
+def test_uncalibrated_mode_is_refused():
+    with pytest.raises(ConfigurationError, match="threshold_mode"):
+        DetectorConfig(p_f=0.01, threshold_mode="uncalibrated")
 
 
 def test_threshold_always_alarm_limit():
@@ -208,16 +217,6 @@ def test_scaling_decision_invariance(gain, mode):
         assert da.detected == db.detected
         assert db.statistic == pytest.approx(abs(gain) ** 2 * da.statistic, rel=1e-9)
         assert db.threshold == pytest.approx(abs(gain) ** 2 * da.threshold, rel=1e-9)
-
-
-def test_scaling_not_invariant_in_uncalibrated_mode():
-    # The uncalibrated inversion scales as amplitude, the statistic as power,
-    # so gain changes flip decisions; that is exactly why it is not default.
-    r = _gsm_rx(num_slots=30)
-    cfg = DetectorConfig(p_f=0.01, threshold_mode="uncalibrated")
-    small = classify(IqBuffer(samples=1e-3 * r.samples, sample_rate_hz=r.sample_rate_hz), cfg)
-    big = classify(IqBuffer(samples=1e3 * r.samples, sample_rate_hz=r.sample_rate_hz), cfg)
-    assert [d.detected for d in small.decisions] != [d.detected for d in big.decisions]
 
 
 def test_cfo_decision_invariance():

@@ -56,6 +56,16 @@ def test_sweep_reproducible_and_well_formed():
     assert "standard,snr_db,obs_time_ms,p_f,pd,n_trials" in a.to_csv()
 
 
+def test_cell_lookup_tells_tiny_pf_apart():
+    # An absolute tolerance of 1e-8 used to return the 1e-9 cell for 1e-10.
+    cfg = SweepConfig(Standard.GSM, (0.0,), (0.010,), p_f_list=(1e-9, 1e-10), n_trials=1)
+    result = run_detection_sweep(cfg)
+    assert result.cell(0.0, 0.010, 1e-10).p_f == 1e-10
+    assert result.cell(0.0, 0.010, 1e-9).p_f == 1e-9
+    with pytest.raises(KeyError):
+        result.cell(0.0, 0.010, 1e-11)
+
+
 def test_sweep_noiseless_detects_every_trial():
     # With noise disabled the statistic/threshold ratio is a deterministic
     # function of the waveform alone (both scale with the faded power), so
@@ -165,6 +175,12 @@ def test_false_alarm_calibrated_quick():
 def test_false_alarm_near_always_alarm_limit():
     rate = run_false_alarm(1.0, m_r=2000, p_f=0.999, n_trials=500, mode="calibrated")
     assert rate > 0.99
+
+
+@pytest.mark.parametrize("noise_power", [0.0, -1.0, np.nan, np.inf])
+def test_false_alarm_rejects_bad_noise_power(noise_power):
+    with pytest.raises(ConfigurationError, match="noise_power"):
+        run_false_alarm(noise_power, m_r=2000, p_f=0.01, n_trials=5)
 
 
 def test_false_alarm_empirical_mode_matches_target():
