@@ -33,6 +33,8 @@ class ChannelConfig:
         # +inf turns noise off; NaN and -inf would silently do the same.
         if np.isnan(self.snr_db) or self.snr_db == -np.inf:
             raise ConfigurationError(f"snr_db must be finite or +inf, got {self.snr_db}")
+        if not np.isfinite(self.cfo_hz):
+            raise ConfigurationError(f"cfo_hz must be finite, got {self.cfo_hz}")
         if self.num_taps < 1:
             raise ConfigurationError("num_taps must be >= 1")
         if not self.pdp_decay > 0:
@@ -41,6 +43,12 @@ class ChannelConfig:
             raise ConfigurationError(
                 "timing_offset_slot_samples must be > 0 when the uniform offset is enabled"
             )
+
+
+def complex_normal(rng: np.random.Generator, n: int, power) -> np.ndarray:
+    """n circularly-symmetric complex Gaussian samples of the given power (a
+    scalar or n values): the n real parts are drawn first, then the imaginary."""
+    return np.sqrt(power / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def pdp_tap_variances(num_taps: int, pdp_decay: float = 5.0) -> np.ndarray:
@@ -53,10 +61,7 @@ def pdp_tap_variances(num_taps: int, pdp_decay: float = 5.0) -> np.ndarray:
 
 def draw_taps(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
     """Independent zero-mean circularly-symmetric Gaussian taps."""
-    var = pdp_tap_variances(cfg.num_taps, cfg.pdp_decay)
-    return np.sqrt(var / 2.0) * (
-        rng.standard_normal(cfg.num_taps) + 1j * rng.standard_normal(cfg.num_taps)
-    )
+    return complex_normal(rng, cfg.num_taps, pdp_tap_variances(cfg.num_taps, cfg.pdp_decay))
 
 
 def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
@@ -90,8 +95,6 @@ def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
 
     if np.isfinite(cfg.snr_db):
         noise_power = np.mean(np.abs(y) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
-        y = y + np.sqrt(noise_power / 2.0) * (
-            rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        )
+        y = y + complex_normal(rng, m, noise_power)
 
     return IqBuffer(samples=y, sample_rate_hz=x.sample_rate_hz, center_freq_hz=x.center_freq_hz)

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .ccf_estimator import estimate_ccf, unit_phasors
+from .channel_sim import complex_normal
 from .errors import ConfigurationError
 from .signal_model import (
     GSM_PROFILE,
@@ -96,29 +97,32 @@ def centered_power_statistic(power: np.ndarray, phasors: np.ndarray) -> np.ndarr
 
     With p = |r|^2 and phasors = exp(-j 2 pi alpha m T_s) this equals
     ``detection_statistic``: C_hat(alpha, 0) - sigma^2 D(alpha) is exactly the
-    transform of the mean-removed power. The noise-only runs use this form,
-    one row of ``power`` per draw.
+    transform of the mean-removed power. ``null_statistics`` uses this form,
+    one record per draw.
     """
     centered = power - power.mean(axis=-1, keepdims=True)
     return np.abs(centered @ phasors) / power.shape[-1]
 
 
+def null_statistics(
+    rng: np.random.Generator, n: int, m_r: int, alpha_ts: float, noise_power: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Statistic at alpha_ts = alpha * T_s and mean power of each of n noise-only
+    records of length m_r, one ``complex_normal`` draw per record."""
+    phasors = unit_phasors(alpha_ts, m_r)
+    stats, powers = np.empty(n), np.empty(n)
+    for i in range(n):
+        power = np.abs(complex_normal(rng, m_r, noise_power)) ** 2
+        stats[i] = centered_power_statistic(power, phasors)
+        powers[i] = power.mean()
+    return stats, powers
+
+
 @lru_cache(maxsize=32)
 def _unit_null_quantile(p_f: float, m_r: int, trials: int) -> float:
     """(1 - p_f) quantile of the detection statistic on unit-power noise."""
-    rng = np.random.default_rng(_NULL_SEED)
-    phasors = unit_phasors(_NULL_ALPHA_TS, m_r)
-    values = np.empty(trials)
-    chunk = max(1, int(2_000_000 // m_r))
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        noise = np.sqrt(0.5) * (
-            rng.standard_normal((n, m_r)) + 1j * rng.standard_normal((n, m_r))
-        )
-        values[done : done + n] = centered_power_statistic(np.abs(noise) ** 2, phasors)
-        done += n
-    return float(np.quantile(values, 1.0 - p_f))
+    stats, _ = null_statistics(np.random.default_rng(_NULL_SEED), trials, m_r, _NULL_ALPHA_TS, 1.0)
+    return float(np.quantile(stats, 1.0 - p_f))
 
 
 def threshold(cfg: DetectorConfig, sigma_r_sq: float, m_r: int) -> float:

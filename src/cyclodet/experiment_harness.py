@@ -10,12 +10,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ccf_estimator import ccf_spectrum, spectrum_to_csv, unit_phasors
+from .ccf_estimator import ccf_spectrum, spectrum_to_csv
 from .channel_sim import ChannelConfig, apply_channel
-from .detector import DetectorConfig, centered_power_statistic, classify, threshold
-from .detector import minimum_samples
+from .detector import DetectorConfig, classify, minimum_samples, null_statistics, threshold
 from .errors import ConfigurationError
-from .signal_model import IqBuffer, Standard, StandardProfile, profile_for
+from .signal_model import GSM_PROFILE, IqBuffer, Standard, StandardProfile
 from .waveform_synth import GsmSynthConfig, LteSynthConfig, synth_gsm, synth_lte
 
 # Waveform variants used for over-the-air-style trials: GSM carriers that gate
@@ -64,6 +63,8 @@ class SweepConfig:
     threshold_mode: str = DetectorConfig.threshold_mode
 
     def __post_init__(self) -> None:
+        # Trials compare the label with the enum by identity.
+        object.__setattr__(self, "standard", Standard.parse(self.standard))
         if self.n_trials < 1:
             raise ConfigurationError("n_trials must be >= 1")
         if not self.snr_db_list or not self.observation_times_s or not self.p_f_list:
@@ -201,35 +202,23 @@ def run_false_alarm(
     p_f: float,
     n_trials: int,
     mode: str = DetectorConfig.threshold_mode,
-    profile: Optional[StandardProfile] = None,
+    profile: StandardProfile = GSM_PROFILE,
     master_seed: int = 0,
 ) -> float:
     """Fraction of noise-only trials a given profile's test declares detected.
 
-    Uses the classifier's leakage-corrected statistic in its noise-only form
-    (``centered_power_statistic``), with the phasor grid and the unit-power
-    threshold hoisted out of the trial loop; each trial scales the threshold
-    by its own sigma_r^2, as ``threshold`` does. Noise is drawn at the
-    profile's trial sample rate.
+    Runs ``null_statistics`` at the profile's slot rate and trial sample rate;
+    each trial scales the unit-power threshold by its own sigma_r^2.
     """
     if not 0 < noise_power < np.inf:
         raise ConfigurationError(f"noise_power must be finite and > 0, got {noise_power}")
-    if profile is None:
-        profile = profile_for(Standard.GSM)
-    det_cfg = DetectorConfig(p_f=p_f, threshold_mode=mode, profiles=(profile,))
+    if n_trials < 1:
+        raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
+    unit = threshold(DetectorConfig(p_f=p_f, threshold_mode=mode), 1.0, m_r)
     alpha_ts = profile.fundamental_cf_float / default_sample_rate(profile.standard)
-    phasors = unit_phasors(alpha_ts, m_r)
-    unit = threshold(det_cfg, 1.0, m_r)
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0xFA)))
-    hits = 0
-    for _ in range(n_trials):
-        noise = np.sqrt(noise_power / 2.0) * (
-            rng.standard_normal(m_r) + 1j * rng.standard_normal(m_r)
-        )
-        power = np.abs(noise) ** 2
-        stat = centered_power_statistic(power, phasors)
-        hits += stat > float(power.mean()) * unit
-    return hits / n_trials
+    stats, powers = null_statistics(rng, n_trials, m_r, alpha_ts, noise_power)
+    return int(np.count_nonzero(stats > powers * unit)) / n_trials
 
 
 _SPECTRUM_SLOTS = 1000

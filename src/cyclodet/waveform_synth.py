@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .channel_sim import complex_normal
 from .errors import ConfigurationError
 from .signal_model import IqBuffer
 
@@ -216,6 +217,8 @@ class LteSynthConfig:
             )
         if not 0.0 <= self.data_occupancy <= 1.0:
             raise ConfigurationError("data_occupancy must be in [0, 1]")
+        if not np.isfinite(self.rs_power_boost_db):
+            raise ConfigurationError(f"rs_power_boost_db must be finite, got {self.rs_power_boost_db}")
 
     @property
     def sample_rate_hz(self) -> float:
@@ -327,11 +330,9 @@ def synth_noise(m_r: int, power: float, seed: int, sample_rate_hz: float = 1.0) 
     """Circularly-symmetric complex white Gaussian samples of the given power."""
     if m_r < 1:
         raise ConfigurationError("m_r must be >= 1")
-    if not power > 0:
-        raise ConfigurationError("power must be > 0")
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal(m_r) + 1j * rng.standard_normal(m_r)
+    if not 0 < power < np.inf:
+        raise ConfigurationError(f"power must be finite and > 0, got {power}")
     # Factor the scale as sqrt(power) * unit-power noise so that changing only
     # `power` rescales the same draw exactly.
-    unit = np.sqrt(0.5) * raw
+    unit = complex_normal(np.random.default_rng(seed), m_r, 1.0)
     return IqBuffer(samples=np.sqrt(power) * unit, sample_rate_hz=sample_rate_hz)

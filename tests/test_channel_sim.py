@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclodet import (
     ChannelConfig,
@@ -13,6 +15,7 @@ from cyclodet import (
     pdp_tap_variances,
     synth_noise,
 )
+from cyclodet.channel_sim import complex_normal
 
 
 def test_pdp_normalization_matches_direct_sum():
@@ -130,3 +133,70 @@ def test_config_validation():
     for snr_db in (np.nan, -np.inf):
         with pytest.raises(ConfigurationError, match=str(snr_db)):
             ChannelConfig(snr_db=snr_db)
+    # A non-finite CFO used to turn every sample into NaN.
+    for cfo_hz in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match=f"cfo_hz.*{cfo_hz}"):
+            ChannelConfig(snr_db=0.0, cfo_hz=cfo_hz)
+
+
+# The draws as they were written out at each call site before they shared
+# complex_normal; the helper must consume the generator the same way.
+
+def _draw_taps_reference(cfg, rng):
+    var = pdp_tap_variances(cfg.num_taps, cfg.pdp_decay)
+    return np.sqrt(var / 2.0) * (
+        rng.standard_normal(cfg.num_taps) + 1j * rng.standard_normal(cfg.num_taps)
+    )
+
+
+def _apply_channel_reference(x, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    taps = _draw_taps_reference(cfg, rng)
+    d = 0
+    if cfg.timing_offset_slot_samples is not None:
+        d = int(rng.integers(0, cfg.timing_offset_slot_samples))
+    m = len(x)
+    delayed = x.samples
+    if d > 0:
+        delayed = np.concatenate([np.zeros(d, dtype=np.complex128), x.samples[: m - d]])
+    y = np.convolve(delayed, taps)[:m]
+    if cfg.cfo_hz != 0.0:
+        y = y * np.exp(2j * np.pi * cfg.cfo_hz * (np.arange(m) / x.sample_rate_hz))
+    if np.isfinite(cfg.snr_db):
+        noise_power = np.mean(np.abs(y) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
+        y = y + np.sqrt(noise_power / 2.0) * (
+            rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        )
+    return y
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 5000),
+    power=st.floats(1e-12, 1e12),
+)
+def test_complex_normal_matches_two_draw_expression(seed, n, power):
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    expected = np.sqrt(power / 2.0) * (ref_rng.standard_normal(n) + 1j * ref_rng.standard_normal(n))
+    np.testing.assert_array_equal(complex_normal(rng, n, power), expected)
+    # Same stream consumed: the next draw matches too.
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**62 + 3])
+def test_draws_match_hand_written_references(seed):
+    x = synth_noise(3000, 1.0, seed=11, sample_rate_hz=1e6)
+    for taps, decay in ((1, 5.0), (4, 5.0), (9, 0.5)):
+        cfg = ChannelConfig(snr_db=0.0, num_taps=taps, pdp_decay=decay, seed=seed)
+        np.testing.assert_array_equal(
+            draw_taps(cfg, np.random.default_rng(seed)),
+            _draw_taps_reference(cfg, np.random.default_rng(seed)),
+        )
+        for snr_db, offset, cfo_hz in ((np.inf, None, 0.0), (-3.0, 625, 150.0), (10.0, None, 0.0)):
+            ch = ChannelConfig(snr_db=snr_db, num_taps=taps, pdp_decay=decay, seed=seed,
+                               timing_offset_slot_samples=offset, cfo_hz=cfo_hz)
+            np.testing.assert_array_equal(
+                apply_channel(x, ch).samples, _apply_channel_reference(x, ch)
+            )

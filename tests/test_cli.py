@@ -197,6 +197,23 @@ def test_sweep_rejects_non_finite_snr(tmp_path, snr):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [("channel", "--cfo-hz", "nan"), ("channel", "--cfo-hz", "inf"),
+     ("synth-lte", "--rs-boost-db", "inf"), ("synth-lte", "--rs-boost-db", "nan")],
+)
+def test_non_finite_physical_parameter_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    # These used to write all-NaN samples and fail on save as a data error (exit 3).
+    clean = tmp_path / "c.iq"
+    run(["synth-gsm", "--slots", "4", "--seed", "1", "--out", str(clean)])
+    source = ["--in", str(clean), "--snr-db", "10"] if command == "channel" else ["--slots", "4"]
+    out = tmp_path / "o.iq"
+    argv = [command, *source, flag, value, "--seed", "2", "--out", str(out)]
+    assert run(argv) == 2
+    assert value in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_prints_threshold(capsys):
     assert run(["calibrate", "--mr", "2000", "--pf", "0.01", "--trials", "20000"]) == 0
     value = float(capsys.readouterr().out.strip())

@@ -27,7 +27,14 @@ from cyclodet import (
     threshold,
 )
 from cyclodet.ccf_estimator import unit_phasors
-from cyclodet.detector import THRESHOLD_MODES, centered_power_statistic, minimum_samples
+from cyclodet.detector import (
+    _NULL_ALPHA_TS,
+    _NULL_SEED,
+    THRESHOLD_MODES,
+    _unit_null_quantile,
+    centered_power_statistic,
+    minimum_samples,
+)
 
 
 # ------------------------------------------------------------- variance
@@ -81,6 +88,20 @@ def test_threshold_monotone_decreasing_in_pf():
             for pf in (1e-3, 1e-2, 1e-1, 0.5)
         ]
         assert all(a > b for a, b in zip(gammas, gammas[1:]))
+
+
+def test_unit_null_quantile_matches_per_record_loop():
+    # The empirical-null quantile is taken over one record per draw: the real
+    # parts of a record, then its imaginary parts, from a _NULL_SEED generator.
+    p_f, m_r, trials = 0.05, 700, 400
+    rng = np.random.default_rng(_NULL_SEED)
+    phasors = unit_phasors(_NULL_ALPHA_TS, m_r)
+    stats = np.empty(trials)
+    for i in range(trials):
+        noise = np.sqrt(0.5) * (rng.standard_normal(m_r) + 1j * rng.standard_normal(m_r))
+        power = np.abs(noise) ** 2
+        stats[i] = np.abs((power - power.mean()) @ phasors) / m_r
+    assert _unit_null_quantile(p_f, m_r, trials) == float(np.quantile(stats, 1.0 - p_f))
 
 
 @pytest.mark.parametrize("mode", THRESHOLD_MODES)
@@ -146,8 +167,8 @@ def test_statistic_equals_corrected_ccf():
 
 def test_statistic_matches_centered_dot_product():
     # The leakage-corrected statistic is identical to transforming the
-    # mean-removed instantaneous power, which is what the noise-only runs
-    # compute, one draw per row.
+    # mean-removed instantaneous power, which is what null_statistics
+    # computes, one record per draw.
     r = synth_noise(4096, 2.0, seed=4, sample_rate_hz=1e6)
     alpha = 1733.0
     power = np.abs(r.samples) ** 2

@@ -12,6 +12,7 @@ from cyclodet import (
     LTE_PROFILE,
     Standard,
     SweepConfig,
+    SweepResult,
     default_sample_rate,
     emit_figure_data,
     estimate_variance,
@@ -20,7 +21,8 @@ from cyclodet import (
     slot_samples,
 )
 from cyclodet import experiment_harness
-from cyclodet.detector import minimum_samples
+from cyclodet.ccf_estimator import unit_phasors
+from cyclodet.detector import THRESHOLD_MODES, centered_power_statistic, minimum_samples, threshold
 from cyclodet.experiment_harness import _trial_seeds, reference_waveform, run_single_trial
 
 
@@ -115,6 +117,18 @@ def test_trials_are_exchangeable():
     assert outcomes == reversed_outcomes
 
 
+def test_sweep_accepts_standard_name():
+    # A name used to give Pd 0 in every cell: trials compared the label with it by identity.
+    cells = [
+        run_detection_sweep(SweepConfig(std, (20.0,), (0.01,), n_trials=5, master_seed=1)).cells
+        for std in ("gsm", Standard.GSM)
+    ]
+    assert cells[0] == cells[1] and cells[0][0].pd == 1.0
+    assert "gsm,20,10,0.01,1,5" in SweepResult(cells=cells[0]).to_csv()
+    with pytest.raises(ConfigurationError, match="umts"):
+        SweepConfig("umts", (20.0,), (0.01,))
+
+
 def test_sweep_rejects_too_short_observation():
     # LTE at 1.1 ms is longer than two LTE slots but shorter than two GSM
     # slots, the longest-slot profile classify tests.
@@ -181,6 +195,46 @@ def test_false_alarm_near_always_alarm_limit():
 def test_false_alarm_rejects_bad_noise_power(noise_power):
     with pytest.raises(ConfigurationError, match="noise_power"):
         run_false_alarm(noise_power, m_r=2000, p_f=0.01, n_trials=5)
+
+
+@pytest.mark.parametrize("n_trials", [0, -3])
+def test_false_alarm_rejects_non_positive_trials(monkeypatch, n_trials):
+    def no_draws(*args):
+        raise AssertionError("noise was drawn before n_trials was checked")
+
+    monkeypatch.setattr(experiment_harness, "null_statistics", no_draws)
+    with pytest.raises(ConfigurationError, match="n_trials"):
+        run_false_alarm(1.0, m_r=2000, p_f=0.01, n_trials=n_trials)
+
+
+def _false_alarm_loop_reference(noise_power, m_r, p_f, n_trials, mode, profile, master_seed):
+    """run_false_alarm as a per-trial loop with hand-written draws (the form
+    it had before the noise-only loop moved into the detector)."""
+    det_cfg = DetectorConfig(p_f=p_f, threshold_mode=mode, profiles=(profile,))
+    alpha_ts = profile.fundamental_cf_float / default_sample_rate(profile.standard)
+    phasors = unit_phasors(alpha_ts, m_r)
+    unit = threshold(det_cfg, 1.0, m_r)
+    rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0xFA)))
+    hits = 0
+    for _ in range(n_trials):
+        noise = np.sqrt(noise_power / 2.0) * (
+            rng.standard_normal(m_r) + 1j * rng.standard_normal(m_r)
+        )
+        power = np.abs(noise) ** 2
+        stat = centered_power_statistic(power, phasors)
+        hits += stat > float(power.mean()) * unit
+    return hits / n_trials
+
+
+@pytest.mark.parametrize("profile", [GSM_PROFILE, LTE_PROFILE], ids=["gsm", "lte"])
+@pytest.mark.parametrize("mode", THRESHOLD_MODES)
+@pytest.mark.parametrize("m_r,n_trials", [(2000, 300), (10_000, 40)])
+def test_false_alarm_matches_per_trial_loop(profile, mode, m_r, n_trials):
+    for noise_power in (1.0, 0.37):
+        args = (noise_power, m_r, 0.3, n_trials, mode, profile, 11)
+        expected = _false_alarm_loop_reference(*args)
+        assert 0 < expected < 1
+        assert run_false_alarm(*args[:4], mode=mode, profile=profile, master_seed=11) == expected
 
 
 def test_false_alarm_empirical_mode_matches_target():

@@ -320,6 +320,8 @@ def test_lte_matches_per_symbol_loop(occupancy, fft_size, n_rb):
         dict(num_slots=1, fft_size=64, n_rb=6),     # fft too small for 72 SC
         dict(num_slots=1, fft_size=192),            # CP does not scale to integers
         dict(num_slots=1, data_occupancy=1.5),
+        dict(num_slots=1, rs_power_boost_db=float("nan")),
+        dict(num_slots=1, rs_power_boost_db=float("inf")),
     ],
 )
 def test_lte_config_validation(kwargs):
@@ -344,5 +346,17 @@ def test_noise_power_scaling_exact():
 def test_noise_validation():
     with pytest.raises(ConfigurationError):
         synth_noise(0, 1.0, seed=0)
-    with pytest.raises(ConfigurationError):
-        synth_noise(10, 0.0, seed=0)
+    for power in (0.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match=f"power.*{power}"):
+            synth_noise(10, power, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**62 + 3])
+def test_noise_matches_hand_written_draw(seed):
+    # synth_noise's draw as it was written out before it used complex_normal.
+    for power in (1.0, 0.37, 12.5):
+        for m in (1, 1000, 4096):
+            rng = np.random.default_rng(seed)
+            raw = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            expected = np.sqrt(power) * (np.sqrt(0.5) * raw)
+            np.testing.assert_array_equal(synth_noise(m, power, seed).samples, expected)
