@@ -48,7 +48,11 @@ class ChannelConfig:
 def complex_normal(rng: np.random.Generator, n: int, power) -> np.ndarray:
     """n circularly-symmetric complex Gaussian samples of the given power (a
     scalar or n values): the n real parts are drawn first, then the imaginary."""
-    return np.sqrt(power / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    out = np.empty(n, np.complex128)
+    out.real = rng.standard_normal(n)
+    out.imag = rng.standard_normal(n)
+    out *= np.sqrt(power / 2.0)
+    return out
 
 
 def pdp_tap_variances(num_taps: int, pdp_decay: float = 5.0) -> np.ndarray:

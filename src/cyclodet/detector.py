@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .ccf_estimator import estimate_ccf, unit_phasors
-from .channel_sim import complex_normal
 from .errors import ConfigurationError
 from .signal_model import (
     GSM_PROFILE,
@@ -33,6 +32,8 @@ _NULL_SEED = 0x5EED_CA1B
 # Null draws are CF-independent once the mean-power leakage is removed, so the
 # empirical mode simulates at one canonical off-grid cyclic frequency.
 _NULL_ALPHA_TS = 0.36787944117144233  # 1/e
+# Samples per batch of noise-only records (at least one record per batch).
+_NULL_BATCH_SAMPLES = 2**18
 
 
 @dataclass(frozen=True)
@@ -93,29 +94,35 @@ def detection_statistic(
 
 
 def centered_power_statistic(power: np.ndarray, phasors: np.ndarray) -> np.ndarray:
-    """|sum_m (p(m) - mean p) phasors(m)| / M over the last axis of ``power``.
+    """|sum_m (p(m) - mean p) phasors(m)| / M for a record p or each row of a batch.
 
     With p = |r|^2 and phasors = exp(-j 2 pi alpha m T_s) this equals
     ``detection_statistic``: C_hat(alpha, 0) - sigma^2 D(alpha) is exactly the
-    transform of the mean-removed power. ``null_statistics`` uses this form,
-    one record per draw.
+    transform of the mean-removed power. p is real, so the transform is one
+    real product with the phasors' (M, 2) real/imaginary view.
     """
     centered = power - power.mean(axis=-1, keepdims=True)
-    return np.abs(centered @ phasors) / power.shape[-1]
+    parts = phasors.view(np.float64).reshape(-1, 2)
+    re, im = parts.T @ centered.T
+    return np.hypot(re, im) / power.shape[-1]
 
 
 def null_statistics(
     rng: np.random.Generator, n: int, m_r: int, alpha_ts: float, noise_power: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Statistic at alpha_ts = alpha * T_s and mean power of each of n noise-only
-    records of length m_r, one ``complex_normal`` draw per record."""
+    records of length m_r. Under H0 |r(m)|^2 is exactly noise_power * Exp(1), so
+    a batch of records is the rows of one exponential draw, filled in order (the
+    records do not depend on the batch size); both outputs are linear in p."""
     phasors = unit_phasors(alpha_ts, m_r)
+    rows = max(1, _NULL_BATCH_SAMPLES // m_r)
     stats, powers = np.empty(n), np.empty(n)
-    for i in range(n):
-        power = np.abs(complex_normal(rng, m_r, noise_power)) ** 2
-        stats[i] = centered_power_statistic(power, phasors)
-        powers[i] = power.mean()
-    return stats, powers
+    for start in range(0, n, rows):
+        power = rng.standard_exponential((min(rows, n - start), m_r))
+        batch = slice(start, start + power.shape[0])
+        stats[batch] = centered_power_statistic(power, phasors)
+        powers[batch] = power.mean(axis=1)
+    return stats * noise_power, powers * noise_power
 
 
 @lru_cache(maxsize=32)

@@ -217,8 +217,12 @@ class LteSynthConfig:
             )
         if not 0.0 <= self.data_occupancy <= 1.0:
             raise ConfigurationError("data_occupancy must be in [0, 1]")
-        if not np.isfinite(self.rs_power_boost_db):
-            raise ConfigurationError(f"rs_power_boost_db must be finite, got {self.rs_power_boost_db}")
+        with np.errstate(over="ignore"):
+            ratio = np.float64(10.0) ** (self.rs_power_boost_db / 10.0)
+        if not 0.0 < ratio < np.inf:
+            raise ConfigurationError(
+                f"rs_power_boost_db must give a finite power ratio > 0, got {self.rs_power_boost_db}"
+            )
 
     @property
     def sample_rate_hz(self) -> float:

@@ -200,10 +200,13 @@ def test_sweep_rejects_non_finite_snr(tmp_path, snr):
 @pytest.mark.parametrize(
     "command,flag,value",
     [("channel", "--cfo-hz", "nan"), ("channel", "--cfo-hz", "inf"),
-     ("synth-lte", "--rs-boost-db", "inf"), ("synth-lte", "--rs-boost-db", "nan")],
+     ("synth-lte", "--rs-boost-db", "inf"), ("synth-lte", "--rs-boost-db", "nan"),
+     ("synth-lte", "--rs-boost-db", "6000"), ("synth-lte", "--rs-boost-db", "10000")],
 )
 def test_non_finite_physical_parameter_is_a_usage_error(tmp_path, capsys, command, flag, value):
-    # These used to write all-NaN samples and fail on save as a data error (exit 3).
+    # The non-finite values used to write all-NaN samples and fail on save as a
+    # data error (exit 3). A boost of 6000 dB has an infinite power ratio and
+    # used to write zeros; 10000 dB crashed with an OverflowError.
     clean = tmp_path / "c.iq"
     run(["synth-gsm", "--slots", "4", "--seed", "1", "--out", str(clean)])
     source = ["--in", str(clean), "--snr-db", "10"] if command == "channel" else ["--slots", "4"]
@@ -212,6 +215,15 @@ def test_non_finite_physical_parameter_is_a_usage_error(tmp_path, capsys, comman
     assert run(argv) == 2
     assert value in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_large_finite_rs_boost_writes_unit_power(tmp_path):
+    out = tmp_path / "o.iq"
+    argv = ["synth-lte", "--slots", "2", "--seed", "1", "--rs-boost-db", "3000", "--out", str(out)]
+    assert run(argv) == 0
+    samples = load_iq(out).samples
+    assert np.all(np.isfinite(samples))
+    assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_calibrate_prints_threshold(capsys):

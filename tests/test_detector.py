@@ -1,9 +1,13 @@
 """Detector tests: threshold modes, leakage correction, decision invariances."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from cyclodet import (
     ChannelConfig,
@@ -26,6 +30,7 @@ from cyclodet import (
     synth_noise,
     threshold,
 )
+from cyclodet import detector
 from cyclodet.ccf_estimator import unit_phasors
 from cyclodet.detector import (
     _NULL_ALPHA_TS,
@@ -34,6 +39,7 @@ from cyclodet.detector import (
     _unit_null_quantile,
     centered_power_statistic,
     minimum_samples,
+    null_statistics,
 )
 
 
@@ -91,17 +97,75 @@ def test_threshold_monotone_decreasing_in_pf():
 
 
 def test_unit_null_quantile_matches_per_record_loop():
-    # The empirical-null quantile is taken over one record per draw: the real
-    # parts of a record, then its imaginary parts, from a _NULL_SEED generator.
+    # The empirical-null quantile is taken over records whose unit-power |r|^2
+    # is drawn as m_r unit exponentials each, in order, from a _NULL_SEED
+    # generator.
     p_f, m_r, trials = 0.05, 700, 400
     rng = np.random.default_rng(_NULL_SEED)
     phasors = unit_phasors(_NULL_ALPHA_TS, m_r)
     stats = np.empty(trials)
     for i in range(trials):
-        noise = np.sqrt(0.5) * (rng.standard_normal(m_r) + 1j * rng.standard_normal(m_r))
-        power = np.abs(noise) ** 2
+        power = rng.standard_exponential(m_r)
         stats[i] = np.abs((power - power.mean()) @ phasors) / m_r
-    assert _unit_null_quantile(p_f, m_r, trials) == float(np.quantile(stats, 1.0 - p_f))
+    expected = float(np.quantile(stats, 1.0 - p_f))
+    assert _unit_null_quantile(p_f, m_r, trials) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("m_r", [100, 1500])
+def test_null_statistics_do_not_depend_on_batching(monkeypatch, m_r):
+    # Records are rows of one exponential draw per batch, filled in order, so
+    # neither the record count nor the batch size changes any record.
+    args = (m_r, 0.2, 0.37)
+    stats, powers = null_statistics(np.random.default_rng(5), 300, *args)
+    more_stats, more_powers = null_statistics(np.random.default_rng(5), 377, *args)
+    np.testing.assert_allclose(more_stats[:300], stats, rtol=1e-12)
+    np.testing.assert_array_equal(more_powers[:300], powers)
+    monkeypatch.setattr(detector, "_NULL_BATCH_SAMPLES", 2**10)
+    small_stats, small_powers = null_statistics(np.random.default_rng(5), 300, *args)
+    np.testing.assert_allclose(small_stats, stats, rtol=1e-12)
+    np.testing.assert_array_equal(small_powers, powers)
+
+
+def test_null_statistics_follow_the_complex_gaussian_law():
+    # |CN(0, s)|^2 is s * Exp(1): statistics and powers of records drawn as
+    # complex Gaussian noise and from null_statistics are one law.
+    n, m_r, alpha_ts, noise_power = 3000, 1000, 0.2, 0.37
+    rng = np.random.default_rng(21)
+    phasors = unit_phasors(alpha_ts, m_r)
+    gauss_stats, gauss_powers = np.empty(n), np.empty(n)
+    for i in range(n):
+        noise = np.sqrt(noise_power / 2.0) * (
+            rng.standard_normal(m_r) + 1j * rng.standard_normal(m_r)
+        )
+        power = np.abs(noise) ** 2
+        gauss_stats[i] = np.abs((power - power.mean()) @ phasors) / m_r
+        gauss_powers[i] = power.mean()
+    stats, powers = null_statistics(np.random.default_rng(22), n, m_r, alpha_ts, noise_power)
+    assert ks_2samp(gauss_stats, stats).pvalue > 1e-3
+    assert ks_2samp(gauss_powers, powers).pvalue > 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    rows=st.integers(1, 40),
+    m_r=st.integers(2, 5000),
+    alpha_ts=st.floats(1e-3, 0.999),
+)
+def test_centered_power_statistic_matches_exact_sums(seed, rows, m_r, alpha_ts):
+    # The batched real-view product against correctly rounded per-row sums.
+    # Any summation order errs by up to m_r * eps * sum|p - mean p|, so that
+    # sum, not the statistic, scales the tolerance: when the transform cancels
+    # the error relative to the statistic alone can exceed 1e-12.
+    power = np.random.default_rng(seed).standard_exponential((rows, m_r))
+    phasors = unit_phasors(alpha_ts, m_r)
+    batch = centered_power_statistic(power, phasors)
+    for row, stat in zip(power, batch):
+        centered = row - math.fsum(row) / m_r
+        re = math.fsum(centered * phasors.real)
+        im = math.fsum(centered * phasors.imag)
+        scale = math.fsum(np.abs(centered)) / m_r
+        assert abs(stat - math.hypot(re, im) / m_r) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("mode", THRESHOLD_MODES)
@@ -168,7 +232,7 @@ def test_statistic_equals_corrected_ccf():
 def test_statistic_matches_centered_dot_product():
     # The leakage-corrected statistic is identical to transforming the
     # mean-removed instantaneous power, which is what null_statistics
-    # computes, one record per draw.
+    # computes, a batch of records per product.
     r = synth_noise(4096, 2.0, seed=4, sample_rate_hz=1e6)
     alpha = 1733.0
     power = np.abs(r.samples) ** 2

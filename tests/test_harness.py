@@ -208,8 +208,8 @@ def test_false_alarm_rejects_non_positive_trials(monkeypatch, n_trials):
 
 
 def _false_alarm_loop_reference(noise_power, m_r, p_f, n_trials, mode, profile, master_seed):
-    """run_false_alarm as a per-trial loop with hand-written draws (the form
-    it had before the noise-only loop moved into the detector)."""
+    """run_false_alarm as a per-trial loop with hand-written draws: each
+    record's |r|^2 is noise_power times m_r unit exponentials."""
     det_cfg = DetectorConfig(p_f=p_f, threshold_mode=mode, profiles=(profile,))
     alpha_ts = profile.fundamental_cf_float / default_sample_rate(profile.standard)
     phasors = unit_phasors(alpha_ts, m_r)
@@ -217,10 +217,7 @@ def _false_alarm_loop_reference(noise_power, m_r, p_f, n_trials, mode, profile, 
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0xFA)))
     hits = 0
     for _ in range(n_trials):
-        noise = np.sqrt(noise_power / 2.0) * (
-            rng.standard_normal(m_r) + 1j * rng.standard_normal(m_r)
-        )
-        power = np.abs(noise) ** 2
+        power = noise_power * rng.standard_exponential(m_r)
         stat = centered_power_statistic(power, phasors)
         hits += stat > float(power.mean()) * unit
     return hits / n_trials

@@ -322,6 +322,9 @@ def test_lte_matches_per_symbol_loop(occupancy, fft_size, n_rb):
         dict(num_slots=1, data_occupancy=1.5),
         dict(num_slots=1, rs_power_boost_db=float("nan")),
         dict(num_slots=1, rs_power_boost_db=float("inf")),
+        dict(num_slots=1, rs_power_boost_db=6000.0),     # power ratio overflows to inf
+        dict(num_slots=1, rs_power_boost_db=10000.0),
+        dict(num_slots=1, rs_power_boost_db=-3300.0),    # power ratio underflows to 0
     ],
 )
 def test_lte_config_validation(kwargs):
