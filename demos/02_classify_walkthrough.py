@@ -27,7 +27,7 @@ def report(title: str, rx) -> None:
     for d in rep.decisions:
         mark = "detected" if d.detected else "below threshold"
         print(f"  {d.standard.value}: |C| = {d.statistic:.3e} vs "
-              f"threshold {d.threshold:.3e}  ({d.ratio:5.2f}x)  {mark}")
+              f"threshold {rep.threshold:.3e}  ({d.statistic / rep.threshold:5.2f}x)  {mark}")
     print(f"  label: {rep.label_name}")
 
 

@@ -54,6 +54,16 @@ def unit_phasors(alpha_ts: float, m: int) -> np.ndarray:
     return (carriers[:, None] * table[None, :]).ravel()[:m]
 
 
+def _lag_product(r: IqBuffer, tau_samples: int) -> np.ndarray:
+    """r(m) conj(r(m + tau)) for m = 0..M_r - tau - 1, or |r|^2 at tau = 0."""
+    m = r.m_r
+    if not 0 <= tau_samples < m:
+        raise ValueError(f"tau_samples must be in [0, {m}), got {tau_samples}")
+    if tau_samples:
+        return r.samples[: m - tau_samples] * np.conj(r.samples[tau_samples:])
+    return np.abs(r.samples) ** 2
+
+
 def estimate_ccf(r: IqBuffer, alpha_hz: float, tau_samples: int = 0) -> CcfEstimate:
     """Estimate the CCF of ``r`` at one cyclic frequency and sample delay.
 
@@ -61,17 +71,9 @@ def estimate_ccf(r: IqBuffer, alpha_hz: float, tau_samples: int = 0) -> CcfEstim
     stays 1/M_r; at tau = 0 (the detector's operating point) the sum is exact.
     Accumulation relies on numpy's pairwise summation.
     """
-    m = r.m_r
-    if not 0 <= tau_samples < m:
-        raise ValueError(f"tau_samples must be in [0, {m}), got {tau_samples}")
-    alpha_ts = alpha_hz * r.sampling_period_s
-    phasors = unit_phasors(alpha_ts, m - tau_samples)
-    if tau_samples:
-        lag = r.samples[: m - tau_samples] * np.conj(r.samples[tau_samples:])
-    else:
-        lag = np.abs(r.samples) ** 2
-    value = complex(np.sum(lag * phasors) / m)
-    return CcfEstimate(alpha_hz=float(alpha_hz), tau_samples=tau_samples, value=value, m_r=m)
+    lag = _lag_product(r, tau_samples)
+    phasors = unit_phasors(alpha_hz * r.sampling_period_s, lag.size)
+    return CcfEstimate(value=complex(np.sum(lag * phasors) / r.m_r), m_r=r.m_r)
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,6 @@ class CcfSpectrum:
 
     alphas_hz: np.ndarray
     magnitudes: np.ndarray
-    tau_samples: int
-    m_r: int
 
     def __post_init__(self) -> None:
         alphas = np.asarray(self.alphas_hz, dtype=np.float64)
@@ -100,24 +100,19 @@ class CcfSpectrum:
 
 def ccf_spectrum(r: IqBuffer, tau_samples: int, max_alpha_hz: float) -> CcfSpectrum:
     """Evaluate |C_hat(alpha, tau)| on every grid point up to ``max_alpha_hz``."""
-    m = r.m_r
-    if not 0 <= tau_samples < m:
-        raise ValueError(f"tau_samples must be in [0, {m}), got {tau_samples}")
     if not 0 <= max_alpha_hz <= r.sample_rate_hz / 2:
         raise ValueError(
             f"max_alpha_hz must be in [0, Nyquist {r.sample_rate_hz / 2}], got {max_alpha_hz}"
         )
-    if tau_samples:
-        lag = np.zeros(m, dtype=np.complex128)
-        lag[: m - tau_samples] = r.samples[: m - tau_samples] * np.conj(r.samples[tau_samples:])
-    else:
-        lag = (np.abs(r.samples) ** 2).astype(np.complex128)
+    lag = _lag_product(r, tau_samples)
+    m = r.m_r
     grid_hz = r.sample_rate_hz / m
     k_max = int(np.floor(max_alpha_hz / grid_hz + 1e-12))
     k_max = min(k_max, m - 1)
-    spectrum = np.abs(np.fft.fft(lag)[: k_max + 1]) / m
+    # fft zero-pads the truncated lag product back to M_r points.
+    spectrum = np.abs(np.fft.fft(lag, n=m)[: k_max + 1]) / m
     alphas = np.arange(k_max + 1) * grid_hz
-    return CcfSpectrum(alphas_hz=alphas, magnitudes=spectrum, tau_samples=tau_samples, m_r=m)
+    return CcfSpectrum(alphas_hz=alphas, magnitudes=spectrum)
 
 
 class HarmonicPeak(NamedTuple):

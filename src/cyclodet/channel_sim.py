@@ -78,8 +78,14 @@ def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
     multiplies the faded signal by exp(j 2 pi cfo m T_s) before noise is added.
 
     RNG draw order is fixed (taps, offset, noise) so results are reproducible
-    from ``cfg.seed`` alone.
+    from ``cfg.seed`` alone. An offset range longer than the buffer is refused.
     """
+    m = len(x)
+    if cfg.timing_offset_slot_samples is not None and cfg.timing_offset_slot_samples > m:
+        raise ConfigurationError(
+            f"timing_offset_slot_samples {cfg.timing_offset_slot_samples} exceeds the "
+            f"buffer length {m}"
+        )
     rng = np.random.default_rng(cfg.seed)
     taps = draw_taps(cfg, rng)
 
@@ -87,7 +93,6 @@ def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
     if cfg.timing_offset_slot_samples is not None:
         d = int(rng.integers(0, cfg.timing_offset_slot_samples))
 
-    m = len(x)
     delayed = x.samples
     if d > 0:
         delayed = np.concatenate([np.zeros(d, dtype=np.complex128), x.samples[: m - d]])

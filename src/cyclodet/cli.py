@@ -9,6 +9,7 @@ error. Every randomized command requires an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 
@@ -229,6 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_decimate)
 
+    # No option starts with '-' and a digit or '.': read '-1e3' or '-15:1:5' as a value.
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -2,8 +2,8 @@
 
 For each candidate standard the magnitude of the cyclic correlation estimate
 at that standard's fundamental cyclic frequency is compared against a
-threshold derived from the requested false-alarm probability; the winning
-detection (largest statistic/threshold ratio) becomes the label.
+threshold derived from the requested false-alarm probability, one per record;
+the profile with the largest statistic becomes the label if it crosses.
 """
 
 from __future__ import annotations
@@ -50,8 +50,16 @@ class DetectorConfig:
             raise ConfigurationError(f"threshold_mode must be one of {THRESHOLD_MODES}")
         if not self.profiles:
             raise ConfigurationError("profiles must be nonempty")
+        standards = [p.standard.value for p in self.profiles]
+        if len(set(standards)) < len(standards):
+            raise ConfigurationError(f"profiles repeat a standard: {standards}")
         if self.empirical_null_trials < 1:
             raise ConfigurationError("empirical_null_trials must be >= 1")
+        if self.threshold_mode == "empirical_null" and self.p_f * self.empirical_null_trials < 1:
+            raise ConfigurationError(  # the quantile stops tracking p_f below one exceedance
+                f"empirical_null needs p_f * trials >= 1, got p_f={self.p_f} and "
+                f"empirical_null_trials={self.empirical_null_trials} (calibrate --trials)"
+            )
 
 
 def estimate_variance(r: IqBuffer) -> float:
@@ -161,18 +169,14 @@ def threshold(cfg: DetectorConfig, sigma_r_sq: float, m_r: int) -> float:
 class ProfileDecision:
     standard: Standard
     statistic: float
-    threshold: float
     detected: bool
-
-    @property
-    def ratio(self) -> float:
-        return self.statistic / self.threshold
 
 
 @dataclass(frozen=True)
 class DecisionReport:
     decisions: tuple[ProfileDecision, ...]
     label: Optional[Standard]
+    threshold: float
     sigma_r_sq: float
     m_r: int
 
@@ -191,7 +195,7 @@ class DecisionReport:
         lines = ["profile,statistic,threshold,detected,label"]
         for d in self.decisions:
             lines.append(
-                f"{d.standard.value},{d.statistic:.12g},{d.threshold:.12g},"
+                f"{d.standard.value},{d.statistic:.12g},{self.threshold:.12g},"
                 f"{str(d.detected).lower()},{self.label_name}"
             )
         return "\n".join(lines) + "\n"
@@ -206,7 +210,7 @@ class DecisionReport:
                     {
                         "profile": d.standard.value,
                         "statistic": d.statistic,
-                        "threshold": d.threshold,
+                        "threshold": self.threshold,
                         "detected": d.detected,
                     }
                     for d in self.decisions
@@ -224,8 +228,9 @@ def minimum_samples(cfg: DetectorConfig, sample_rate_hz: float) -> int:
 def classify(r: IqBuffer, cfg: DetectorConfig) -> DecisionReport:
     """Test every configured profile's fundamental CF and label the buffer.
 
-    The label goes to the detected profile with the largest
-    statistic/threshold ratio, or stays unknown when nothing crosses.
+    Every profile shares one threshold, so the label goes to the profile
+    with the largest statistic if that profile crosses it (the first listed
+    on a tie), and stays unknown otherwise.
     Deterministic for fixed inputs; the empirical-null mode runs its Monte
     Carlo from a fixed internal seed.
     """
@@ -241,16 +246,12 @@ def classify(r: IqBuffer, cfg: DetectorConfig) -> DecisionReport:
     decisions = []
     for profile in cfg.profiles:
         stat = detection_statistic(r, profile.fundamental_cf_float, sigma_r_sq)
-        decisions.append(
-            ProfileDecision(
-                standard=profile.standard,
-                statistic=stat,
-                threshold=gamma,
-                detected=stat > gamma,
-            )
-        )
-    detected = [d for d in decisions if d.detected]
-    label = max(detected, key=lambda d: d.ratio).standard if detected else None
+        decisions.append(ProfileDecision(profile.standard, stat, detected=stat > gamma))
+    best = max(decisions, key=lambda d: d.statistic)
     return DecisionReport(
-        decisions=tuple(decisions), label=label, sigma_r_sq=sigma_r_sq, m_r=r.m_r
+        decisions=tuple(decisions),
+        label=best.standard if best.detected else None,
+        threshold=gamma,
+        sigma_r_sq=sigma_r_sq,
+        m_r=r.m_r,
     )

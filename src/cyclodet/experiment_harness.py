@@ -134,9 +134,9 @@ class SweepResult:
             fh.write(self.to_csv(columns))
 
 
-def _trial_seeds(master_seed: int, cell_index: int, trial_index: int) -> tuple[int, int]:
-    ss = np.random.SeedSequence((master_seed, cell_index, trial_index))
-    words = ss.generate_state(4, np.uint64)
+def _trial_seeds(*key: int) -> tuple[int, int]:
+    """Waveform and channel seeds: two 63-bit words of SeedSequence(key)."""
+    words = np.random.SeedSequence(key).generate_state(4, np.uint64)
     return int(words[0] >> 1), int(words[1] >> 1)
 
 
@@ -238,10 +238,9 @@ FIGURES = tuple(_SPECTRUM_FIGURES) + tuple(_SWEEP_FIGURES)
 
 
 def _spectrum_figure(standard: Standard, master_seed: int):
-    ss = np.random.SeedSequence((master_seed, 3 if standard is Standard.GSM else 4))
-    words = ss.generate_state(4, np.uint64)
-    x = reference_waveform(standard, _SPECTRUM_SLOTS, int(words[0] >> 1))
-    ch = replace(REFERENCE_CHANNEL, snr_db=_SPECTRUM_SNR_DB, seed=int(words[1] >> 1))
+    wf_seed, ch_seed = _trial_seeds(master_seed, 3 if standard is Standard.GSM else 4)
+    x = reference_waveform(standard, _SPECTRUM_SLOTS, wf_seed)
+    ch = replace(REFERENCE_CHANNEL, snr_db=_SPECTRUM_SNR_DB, seed=ch_seed)
     y = apply_channel(x, ch)
     return ccf_spectrum(y, tau_samples=0, max_alpha_hz=_SPECTRUM_MAX_ALPHA_HZ)
 

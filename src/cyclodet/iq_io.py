@@ -34,14 +34,8 @@ class IqFileMeta:
     sample_rate_hz: float
     sample_count: Optional[int] = None
     center_freq_hz: Optional[float] = None
-    sample_format: str = SAMPLE_FORMAT_CF32LE
 
     def __post_init__(self) -> None:
-        if self.sample_format != SAMPLE_FORMAT_CF32LE:
-            raise UnsupportedFormatError(
-                f"unsupported format {self.sample_format!r}; "
-                f"only {SAMPLE_FORMAT_CF32LE!r} is implemented"
-            )
         if not 0 < self.sample_rate_hz < math.inf:
             raise FormatError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         if self.center_freq_hz is not None and not math.isfinite(self.center_freq_hz):
@@ -66,13 +60,18 @@ class IqFileMeta:
                 fields[key.strip()] = value.strip()
         if "sample_rate_hz" not in fields:
             raise FormatError(f"{meta_path}: missing sample_rate_hz")
-        values = {"sample_format": fields.get("format", SAMPLE_FORMAT_CF32LE)}
+        values = {}
         for key, kind in _NUMERIC_FIELDS.items():
             if key in fields:
                 try:
                     values[key] = kind(fields[key])
                 except ValueError:
                     raise FormatError(f"{meta_path}: bad {key} {fields[key]!r}") from None
+        if fields.get("format", SAMPLE_FORMAT_CF32LE) != SAMPLE_FORMAT_CF32LE:
+            raise UnsupportedFormatError(
+                f"{meta_path}: unsupported format {fields['format']!r}; "
+                f"only {SAMPLE_FORMAT_CF32LE!r} is implemented"
+            )
         try:
             return cls(**values)
         except FormatError as exc:
@@ -82,7 +81,7 @@ class IqFileMeta:
         lines = [f"sample_rate_hz={self.sample_rate_hz:.17g}"]
         if self.center_freq_hz is not None:
             lines.append(f"center_freq_hz={self.center_freq_hz:.17g}")
-        lines.append(f"format={self.sample_format}")
+        lines.append(f"format={SAMPLE_FORMAT_CF32LE}")
         if self.sample_count is not None:
             lines.append(f"sample_count={self.sample_count}")
         with open(meta_path, "w", encoding="utf-8") as fh:

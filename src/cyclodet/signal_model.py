@@ -114,13 +114,7 @@ def profile_for(standard: "str | Standard") -> StandardProfile:
 
 @dataclass(frozen=True)
 class CcfEstimate:
-    """One cyclic-correlation value at cyclic frequency alpha and delay tau."""
+    """One cyclic-correlation value and the record length it was estimated over."""
 
-    alpha_hz: float
-    tau_samples: int
     value: complex
     m_r: int
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)

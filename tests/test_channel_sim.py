@@ -92,6 +92,16 @@ def test_timing_offset_shifts_with_zero_head():
     np.testing.assert_array_equal(y.samples, apply_channel(x, cfg).samples)
 
 
+def test_offset_range_longer_than_buffer_is_refused():
+    # It used to zero the whole buffer, and then the noise, referenced to
+    # the faded power, was zero too.
+    x = _unit_input(m=700, seed=3)
+    with pytest.raises(ConfigurationError, match="701.*700"):
+        apply_channel(x, ChannelConfig(snr_db=10.0, timing_offset_slot_samples=701))
+    cfg = ChannelConfig(snr_db=np.inf, num_taps=1, timing_offset_slot_samples=700, seed=5)
+    assert np.any(apply_channel(x, cfg).samples)
+
+
 def test_offset_uniform_over_slot():
     x = _unit_input(m=700, seed=3)
     slot = 100

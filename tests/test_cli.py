@@ -217,6 +217,51 @@ def test_non_finite_physical_parameter_is_a_usage_error(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [("sweep", "--snr", "-5,5"), ("sweep", "--snr", "-15:1:5"),
+     ("channel", "--cfo-hz", "-1e3"), ("channel", "--snr-db", "-1e1"),
+     ("synth-lte", "--rs-boost-db", "-2.5e0")],
+)
+def test_negative_values_read_as_values(tmp_path, command, flag, value):
+    # argparse used to take these for options and exit 2 ("expected one argument").
+    clean = tmp_path / "c.iq"
+    run(["synth-gsm", "--slots", "4", "--seed", "1", "--out", str(clean)])
+    base = {
+        "sweep": ["--standard", "gsm", "--obs-ms", "10", "--trials", "1"],
+        "channel": ["--in", str(clean), "--snr-db", "10"],
+        "synth-lte": ["--slots", "2"],
+    }[command]
+    outs = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        outs.append(tmp_path / f"o{len(outs)}")
+        assert run([command, *base, *form, "--seed", "2", "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_channel_refuses_offset_range_longer_than_capture(tmp_path, capsys):
+    # It used to write 2,500 zeros with exit 0, which classify then refused.
+    clean, out = tmp_path / "c.iq", tmp_path / "o.iq"
+    run(["synth-gsm", "--slots", "4", "--seed", "1", "--out", str(clean)])
+    assert run(["channel", "--in", str(clean), "--snr-db", "10", "--timing-slot-samples",
+                "100000", "--seed", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "100000" in err and "2500" in err
+    assert not out.exists()
+
+
+def test_classify_refuses_repeated_profile(tmp_path, capsys):
+    clean = tmp_path / "c.iq"
+    run(["synth-gsm", "--slots", "4", "--seed", "1", "--out", str(clean)])
+    assert run(["classify", "--in", str(clean), "--profiles", "gsm,gsm"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_calibrate_refuses_fewer_than_one_expected_exceedance(capsys):
+    assert run(["calibrate", "--mr", "3000", "--pf", "1e-6"]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_large_finite_rs_boost_writes_unit_power(tmp_path):
     out = tmp_path / "o.iq"
     argv = ["synth-lte", "--slots", "2", "--seed", "1", "--rs-boost-db", "3000", "--out", str(out)]

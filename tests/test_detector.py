@@ -204,6 +204,24 @@ def test_threshold_argument_validation():
         DetectorConfig(p_f=0.01, profiles=())
 
 
+def test_repeated_profile_is_refused():
+    # classify used to compute and report the same statistic twice.
+    with pytest.raises(ConfigurationError, match="repeat"):
+        DetectorConfig(p_f=0.01, profiles=(GSM_PROFILE, LTE_PROFILE, GSM_PROFILE))
+
+
+def test_empirical_null_needs_one_expected_exceedance():
+    # Below one expected exceedance the quantile sits between the largest
+    # draws: at p_f = 1e-6 over 10,000 draws it read 0.0582, under the
+    # 0.0679 closed form, so the false-alarm rate ran about 40x the target.
+    with pytest.raises(ConfigurationError) as exc:
+        DetectorConfig(p_f=1e-6, threshold_mode="empirical_null")
+    assert "p_f=1e-06 and empirical_null_trials=10000 (calibrate --trials)" in str(exc.value)
+    DetectorConfig(p_f=1e-4, threshold_mode="empirical_null")
+    DetectorConfig(p_f=1e-6, threshold_mode="empirical_null", empirical_null_trials=1_000_000)
+    DetectorConfig(p_f=1e-6)
+
+
 # ------------------------------------------------------------- leakage
 
 def test_mean_power_leakage_against_brute_force():
@@ -301,7 +319,7 @@ def test_scaling_decision_invariance(gain, mode):
     for da, db in zip(a.decisions, b.decisions):
         assert da.detected == db.detected
         assert db.statistic == pytest.approx(abs(gain) ** 2 * da.statistic, rel=1e-9)
-        assert db.threshold == pytest.approx(abs(gain) ** 2 * da.threshold, rel=1e-9)
+    assert b.threshold == pytest.approx(abs(gain) ** 2 * a.threshold, rel=1e-9)
 
 
 def test_cfo_decision_invariance():
@@ -349,8 +367,8 @@ def test_report_label_unknown_on_noise():
 def test_tie_break_uses_largest_ratio():
     rep = classify(_gsm_rx(num_slots=60), DetectorConfig(p_f=0.4))
     # At p_f = 0.4 the LTE branch often false-alarms on GSM input, but the
-    # GSM ratio must dominate.
+    # GSM statistic must dominate (one threshold, so the largest ratio too).
     gsm = rep.decision_for("gsm")
     lte = rep.decision_for(Standard.LTE)
-    assert gsm.detected and gsm.ratio > lte.ratio
+    assert gsm.detected and gsm.statistic > lte.statistic
     assert rep.label is Standard.GSM

@@ -1,7 +1,14 @@
 """IQ file round trips, sidecar parsing, and decimation filter behavior."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.signal import firwin, kaiserord
 
 from cyclodet import (
     FormatError,
@@ -44,6 +51,24 @@ def test_save_quantizes_to_float32(tmp_path):
     back = load_iq(data)
     expected = buf.samples.real.astype(np.float32).astype(np.float64) + 1j * buf.samples.imag.astype(np.float32).astype(np.float64)
     np.testing.assert_array_equal(back.samples, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=arrays(np.float32, st.tuples(st.integers(1, 300), st.just(2)),
+                 elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+    rate=st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+    center=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_round_trip_property(parts, rate, center):
+    assume(parts.any())  # load_iq refuses an all-zero capture
+    buf = IqBuffer(parts.astype(np.float64).view(np.complex128).ravel(), rate, center)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "p.iq"
+        save_iq(buf, data)
+        back = load_iq(data)
+    assert back.samples.tobytes() == buf.samples.tobytes()
+    assert (back.sample_rate_hz, back.center_freq_hz) == (rate, center)
 
 
 def test_sixteen_byte_file_is_two_samples(tmp_path):
@@ -204,3 +229,25 @@ def test_decimate_preserves_inband_power():
     taps = decimation_taps(factor)
     core = out.samples[taps.size // factor : -(taps.size // factor)]
     assert np.mean(np.abs(core) ** 2) == pytest.approx(estimate_variance(buf), rel=0.03)
+
+
+def _decimate_reference(x, factor):
+    """The documented design: a 70 dB Kaiser windowed sinc cut at 0.8/factor
+    of Nyquist, made odd, delay-compensated, then every factor-th sample."""
+    numtaps, beta = kaiserord(70.0, width=0.2 / factor)
+    numtaps += 1 - numtaps % 2
+    taps = firwin(numtaps, cutoff=0.8 / factor, window=("kaiser", beta))
+    delay = (numtaps - 1) // 2
+    return np.convolve(x, taps)[delay : delay + x.size : factor]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(50, 20_000), factor=st.integers(2, 16))
+def test_decimate_matches_documented_filter(seed, m, factor):
+    x = synth_noise(m, 1.0, seed=seed, sample_rate_hz=1e6)
+    out = decimate(x, factor)
+    ref = _decimate_reference(x.samples, factor)
+    assert out.sample_rate_hz == 1e6 / factor
+    assert out.samples.shape == ref.shape
+    rms = np.sqrt(np.mean(np.abs(ref) ** 2))
+    assert np.max(np.abs(out.samples - ref)) <= 1e-12 * rms
