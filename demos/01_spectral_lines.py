@@ -14,10 +14,10 @@ import numpy as np
 
 from cyclodet import (
     ChannelConfig,
+    Standard,
     apply_channel,
     ccf_spectrum,
     harmonic_peaks,
-    profile_for,
     reference_waveform,
     spectrum_to_csv,
 )
@@ -28,7 +28,7 @@ MAX_ALPHA_HZ = 20_000.0
 
 
 def show(standard: str, seed: int) -> None:
-    profile = profile_for(standard)
+    profile = Standard.parse(standard)
     x = reference_waveform(standard, SLOTS, seed=seed)
     y = apply_channel(x, ChannelConfig(snr_db=SNR_DB, num_taps=4, pdp_decay=5.0, seed=seed + 1))
     spec = ccf_spectrum(y, tau_samples=0, max_alpha_hz=MAX_ALPHA_HZ)

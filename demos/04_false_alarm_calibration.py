@@ -22,7 +22,7 @@ Runs a couple of minutes (tens of millions of noise samples per row).
 
 import math
 
-from cyclodet import GSM_PROFILE, LTE_PROFILE, DetectorConfig, run_false_alarm, threshold
+from cyclodet import DetectorConfig, Standard, run_false_alarm, threshold
 
 P_F = 1e-2
 TRIALS = 2000
@@ -32,13 +32,13 @@ if __name__ == "__main__":
     print(f"target false-alarm rate: {P_F}")
     print("\nempirical rate on noise-only input, by mode and record length:")
     print("   profile    M_r     calibrated   empirical_null")
-    for profile in (GSM_PROFILE, LTE_PROFILE):
+    for profile in Standard:
         for m_r in (10_000, 30_000):
             rates = [
                 run_false_alarm(1.0, m_r, P_F, TRIALS, mode=mode, profile=profile)
                 for mode in MODES
             ]
-            print(f"   {profile.standard.value:4s}   {m_r:7d}   {rates[0]:10.4f}"
+            print(f"   {profile.value:4s}   {m_r:7d}   {rates[0]:10.4f}"
                   f"   {rates[1]:14.4f}")
 
     literal = math.sqrt(-math.log(P_F))

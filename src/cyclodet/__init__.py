@@ -42,15 +42,7 @@ from .experiment_harness import (
     slot_samples,
 )
 from .iq_io import IqFileMeta, decimate, load_iq, save_iq
-from .signal_model import (
-    GSM_PROFILE,
-    LTE_PROFILE,
-    CcfEstimate,
-    IqBuffer,
-    Standard,
-    StandardProfile,
-    profile_for,
-)
+from .signal_model import CcfEstimate, IqBuffer, Standard, profile_for
 from .waveform_synth import (
     GsmSynthConfig,
     LteSynthConfig,
@@ -70,16 +62,13 @@ __all__ = [
     "DecisionReport",
     "DetectorConfig",
     "FormatError",
-    "GSM_PROFILE",
     "GsmSynthConfig",
     "HarmonicPeak",
     "IqBuffer",
     "IqFileMeta",
-    "LTE_PROFILE",
     "LteSynthConfig",
     "ProfileDecision",
     "Standard",
-    "StandardProfile",
     "SweepCell",
     "SweepConfig",
     "SweepResult",

@@ -108,7 +108,6 @@ def ccf_spectrum(r: IqBuffer, tau_samples: int, max_alpha_hz: float) -> CcfSpect
     m = r.m_r
     grid_hz = r.sample_rate_hz / m
     k_max = int(np.floor(max_alpha_hz / grid_hz + 1e-12))
-    k_max = min(k_max, m - 1)
     # fft zero-pads the truncated lag product back to M_r points.
     spectrum = np.abs(np.fft.fft(lag, n=m)[: k_max + 1]) / m
     alphas = np.arange(k_max + 1) * grid_hz

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .experiment_harness import (
     run_detection_sweep,
 )
 from .iq_io import decimate, load_iq, save_iq
-from .signal_model import Standard, profile_for
+from .signal_model import Standard
 from .waveform_synth import GsmSynthConfig, GUARD_MODES, LteSynthConfig, synth_gsm, synth_lte
 
 EXIT_OK = 0
@@ -80,8 +79,8 @@ def _cmd_channel(args: argparse.Namespace) -> int:
     # A slot length, given or derived from a standard, turns on the offset.
     offset_samples = args.timing_slot_samples
     if args.standard is not None:
-        slot_s = profile_for(Standard.parse(args.standard)).slot_duration_s
-        offset_samples = int(round(float(slot_s) * buf.sample_rate_hz))
+        slot_s = Standard.parse(args.standard).slot_duration_float
+        offset_samples = int(round(slot_s * buf.sample_rate_hz))
     cfg = ChannelConfig(
         snr_db=args.snr_db,
         num_taps=args.taps,
@@ -103,8 +102,7 @@ def _cmd_ccf_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     buf = load_iq(args.infile)
-    profiles = tuple(profile_for(name) for name in args.profiles.split(","))
-    cfg = DetectorConfig(p_f=args.pf, threshold_mode=args.mode, profiles=profiles)
+    cfg = DetectorConfig(p_f=args.pf, threshold_mode=args.mode, profiles=args.profiles.split(","))
     report = classify(buf, cfg)
     if args.json:
         print(report.to_json_line())
@@ -154,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="GSM/LTE identification from IQ captures via slot-rate cyclostationarity",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    standards = tuple(s.value for s in Standard)
 
     p = sub.add_parser("synth-gsm", help="generate a GMSK burst train")
     p.add_argument("--slots", type=int, required=True)
@@ -185,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     offset = p.add_mutually_exclusive_group()
     offset.add_argument("--timing-slot-samples", type=int,
                         help="uniform timing offset over [0, N) samples")
-    offset.add_argument("--standard", choices=("gsm", "lte"),
+    offset.add_argument("--standard", choices=standards,
                         help="uniform timing offset over one slot of this standard")
     p.add_argument("--cfo-hz", type=float, default=ChannelConfig.cfo_hz)
     p.add_argument("--seed", type=int, required=True)
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("sweep", help="Monte Carlo detection-probability sweep")
-    p.add_argument("--standard", choices=("gsm", "lte"), required=True)
+    p.add_argument("--standard", choices=standards, required=True)
     p.add_argument("--snr", required=True, help="comma list or start:step:stop")
     p.add_argument("--obs-ms", required=True, help="comma list of observation times, ms")
     p.add_argument("--pf", default="0.01", help="comma list of false-alarm targets")

@@ -17,13 +17,7 @@ import numpy as np
 
 from .ccf_estimator import estimate_ccf, unit_phasors
 from .errors import ConfigurationError
-from .signal_model import (
-    GSM_PROFILE,
-    LTE_PROFILE,
-    IqBuffer,
-    Standard,
-    StandardProfile,
-)
+from .signal_model import IqBuffer, Standard
 
 THRESHOLD_MODES = ("calibrated", "empirical_null")
 
@@ -40,25 +34,26 @@ _NULL_BATCH_SAMPLES = 2**18
 class DetectorConfig:
     p_f: float
     threshold_mode: str = "calibrated"
-    profiles: tuple[StandardProfile, ...] = (GSM_PROFILE, LTE_PROFILE)
+    profiles: tuple[Standard, ...] = tuple(Standard)
     empirical_null_trials: int = 10_000
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "profiles", tuple(Standard.parse(p) for p in self.profiles))
         if not 0.0 < self.p_f < 1.0:
             raise ConfigurationError(f"p_f must be in (0, 1), got {self.p_f}")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ConfigurationError(f"threshold_mode must be one of {THRESHOLD_MODES}")
         if not self.profiles:
             raise ConfigurationError("profiles must be nonempty")
-        standards = [p.standard.value for p in self.profiles]
+        standards = [p.value for p in self.profiles]
         if len(set(standards)) < len(standards):
             raise ConfigurationError(f"profiles repeat a standard: {standards}")
         if self.empirical_null_trials < 1:
             raise ConfigurationError("empirical_null_trials must be >= 1")
         if self.threshold_mode == "empirical_null" and self.p_f * self.empirical_null_trials < 1:
             raise ConfigurationError(  # the quantile stops tracking p_f below one exceedance
-                f"empirical_null needs p_f * trials >= 1, got p_f={self.p_f} and "
-                f"empirical_null_trials={self.empirical_null_trials} (calibrate --trials)"
+                f"empirical_null with empirical_null_trials={self.empirical_null_trials} "
+                f"needs p_f >= {1 / self.empirical_null_trials:g}, got p_f={self.p_f}"
             )
 
 
@@ -221,7 +216,7 @@ class DecisionReport:
 
 def minimum_samples(cfg: DetectorConfig, sample_rate_hz: float) -> int:
     """Smallest buffer classify accepts: two slots of the slowest profile."""
-    longest = max(float(p.slot_duration_s) for p in cfg.profiles)
+    longest = max(p.slot_duration_float for p in cfg.profiles)
     return int(np.ceil(2.0 * longest * sample_rate_hz))
 
 
@@ -234,6 +229,12 @@ def classify(r: IqBuffer, cfg: DetectorConfig) -> DecisionReport:
     Deterministic for fixed inputs; the empirical-null mode runs its Monte
     Carlo from a fixed internal seed.
     """
+    for profile in cfg.profiles:
+        if r.sample_rate_hz <= 2 * profile.fundamental_cf_float:
+            raise ValueError(
+                f"sample rate {r.sample_rate_hz:g} Hz is at or below twice the "
+                f"{profile.value} slot rate {profile.fundamental_cf_float:g} Hz"
+            )
     need = minimum_samples(cfg, r.sample_rate_hz)
     if r.m_r < need:
         raise ValueError(
@@ -246,7 +247,7 @@ def classify(r: IqBuffer, cfg: DetectorConfig) -> DecisionReport:
     decisions = []
     for profile in cfg.profiles:
         stat = detection_statistic(r, profile.fundamental_cf_float, sigma_r_sq)
-        decisions.append(ProfileDecision(profile.standard, stat, detected=stat > gamma))
+        decisions.append(ProfileDecision(profile, stat, detected=stat > gamma))
     best = max(decisions, key=lambda d: d.statistic)
     return DecisionReport(
         decisions=tuple(decisions),

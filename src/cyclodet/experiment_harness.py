@@ -14,7 +14,7 @@ from .ccf_estimator import ccf_spectrum, spectrum_to_csv
 from .channel_sim import ChannelConfig, apply_channel
 from .detector import DetectorConfig, classify, minimum_samples, null_statistics, threshold
 from .errors import ConfigurationError
-from .signal_model import GSM_PROFILE, IqBuffer, Standard, StandardProfile
+from .signal_model import IqBuffer, Standard
 from .waveform_synth import GsmSynthConfig, LteSynthConfig, synth_gsm, synth_lte
 
 # Waveform variants used for over-the-air-style trials: GSM carriers that gate
@@ -202,7 +202,7 @@ def run_false_alarm(
     p_f: float,
     n_trials: int,
     mode: str = DetectorConfig.threshold_mode,
-    profile: StandardProfile = GSM_PROFILE,
+    profile: "str | Standard" = Standard.GSM,
     master_seed: int = 0,
 ) -> float:
     """Fraction of noise-only trials a given profile's test declares detected.
@@ -214,8 +214,9 @@ def run_false_alarm(
         raise ConfigurationError(f"noise_power must be finite and > 0, got {noise_power}")
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
+    profile = Standard.parse(profile)
     unit = threshold(DetectorConfig(p_f=p_f, threshold_mode=mode), 1.0, m_r)
-    alpha_ts = profile.fundamental_cf_float / default_sample_rate(profile.standard)
+    alpha_ts = profile.fundamental_cf_float / default_sample_rate(profile)
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0xFA)))
     stats, powers = null_statistics(rng, n_trials, m_r, alpha_ts, noise_power)
     return int(np.count_nonzero(stats > powers * unit)) / n_trials

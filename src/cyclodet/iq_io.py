@@ -161,8 +161,11 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
     The filter's integer group delay is compensated, so the output stays
     aligned to the input start. factor=1 passes the samples through bit-exact.
     """
-    if factor < 1:
-        raise ValueError(f"decimation factor must be >= 1, got {factor}")
+    if not 1 <= factor <= len(buf):
+        raise ValueError(
+            f"decimation factor must be between 1 and the buffer's {len(buf)} samples, "
+            f"got {factor}"
+        )
     if factor == 1:
         return buf
     taps = decimation_taps(factor)

@@ -1,4 +1,4 @@
-"""Shared domain types: IQ sample buffers, per-standard timing profiles, CCF values.
+"""Shared domain types: IQ sample buffers, standards with their slot timing, CCF values.
 
 Cyclic frequencies are carried as exact rationals and converted to float only
 at the DSP boundary, so that harmonics ``k * alpha`` stay exact.
@@ -16,9 +16,39 @@ import numpy as np
 from .errors import ConfigurationError
 
 
+# Slot duration and secondary cyclic frequency of each standard, exact.
+# GSM: symbol rate 1625000/6 Bd, 156.25 symbols per slot, hence a slot lasts
+# exactly 15/26000 s and the slot rate is 26000/15 Hz.
+# LTE: 0.5 ms slots; the sync channels recur every 10 slots (200 Hz).
+_TIMING = {"gsm": (Fraction(15, 26000), None), "lte": (Fraction(1, 2000), Fraction(200))}
+
+
 class Standard(Enum):
+    """A standard and the cyclic frequencies its slot timing induces (read-only)."""
+
     GSM = "gsm"
     LTE = "lte"
+
+    @property
+    def slot_duration_s(self) -> Fraction:
+        return _TIMING[self.value][0]
+
+    @property
+    def secondary_cf_hz(self) -> Optional[Fraction]:
+        return _TIMING[self.value][1]
+
+    @property
+    def fundamental_cf_hz(self) -> Fraction:
+        """The slot rate, the exact reciprocal of the slot duration."""
+        return 1 / self.slot_duration_s
+
+    @property
+    def fundamental_cf_float(self) -> float:
+        return float(self.fundamental_cf_hz)
+
+    @property
+    def slot_duration_float(self) -> float:
+        return float(self.slot_duration_s)
 
     @classmethod
     def parse(cls, name: "str | Standard") -> "Standard":
@@ -31,6 +61,10 @@ class Standard(Enum):
                 f"unknown standard {name!r}; expected one of "
                 f"{[s.value for s in cls]}"
             ) from None
+
+
+# The name-or-member lookup under its older name.
+profile_for = Standard.parse
 
 
 @dataclass(frozen=True)
@@ -71,45 +105,6 @@ class IqBuffer:
     @property
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
-
-
-@dataclass(frozen=True)
-class StandardProfile:
-    """Slot timing of one standard and the cyclic frequencies it induces."""
-
-    standard: Standard
-    slot_duration_s: Fraction
-    secondary_cf_hz: Optional[Fraction] = None
-
-    @property
-    def fundamental_cf_hz(self) -> Fraction:
-        """The slot rate, the exact reciprocal of the slot duration."""
-        return 1 / self.slot_duration_s
-
-    @property
-    def fundamental_cf_float(self) -> float:
-        return float(self.fundamental_cf_hz)
-
-    @property
-    def slot_duration_float(self) -> float:
-        return float(self.slot_duration_s)
-
-
-# GSM: symbol rate 1625000/6 Bd, 156.25 symbols per slot, hence a slot lasts
-# exactly 15/26000 s and the slot rate is 26000/15 Hz.
-GSM_PROFILE = StandardProfile(standard=Standard.GSM, slot_duration_s=Fraction(15, 26000))
-
-# LTE: 0.5 ms slots; the sync channels recur every 10 slots (200 Hz).
-LTE_PROFILE = StandardProfile(
-    standard=Standard.LTE, slot_duration_s=Fraction(1, 2000), secondary_cf_hz=Fraction(200)
-)
-
-_PROFILES = {Standard.GSM: GSM_PROFILE, Standard.LTE: LTE_PROFILE}
-
-
-def profile_for(standard: "str | Standard") -> StandardProfile:
-    """Return the timing profile for a standard id ('gsm' or 'lte')."""
-    return _PROFILES[Standard.parse(standard)]
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ import numpy as np
 
 from .channel_sim import complex_normal
 from .errors import ConfigurationError
-from .signal_model import IqBuffer
+from .signal_model import IqBuffer, Standard
 
 GSM_SYMBOL_RATE_HZ = Fraction(1625000, 6)
-GSM_SLOT_SYMBOLS = Fraction(625, 4)  # 156.25
+GSM_SLOT_SYMBOLS = Standard.GSM.slot_duration_s * GSM_SYMBOL_RATE_HZ  # 156.25
 GSM_GAUSSIAN_BT = 0.3  # GMSK pulse-shaping bandwidth-time product
 
 # Normal-burst layout, in bits: 3 tail + 57 data + 1 flag + 26 training

@@ -12,10 +12,8 @@ import pytest
 from cyclodet import (
     ChannelConfig,
     DetectorConfig,
-    GSM_PROFILE,
     GsmSynthConfig,
     IqBuffer,
-    LTE_PROFILE,
     LteSynthConfig,
     Standard,
     SweepConfig,
@@ -143,14 +141,14 @@ def test_criterion_3_detection_probability_cells():
 def test_criterion_4_constant_false_alarm():
     t0 = time.monotonic()
     results = {}
-    for profile in (GSM_PROFILE, LTE_PROFILE):
+    for profile in (Standard.GSM, Standard.LTE):
         for m_r in (10_000, 100_000):
             rate = run_false_alarm(
                 1.0, m_r, p_f=1e-2, n_trials=10_000, mode="calibrated",
                 profile=profile, master_seed=SEED,
             )
-            results[(profile.standard.value, m_r)] = rate
-            assert 0.0075 <= rate <= 0.0125, f"{profile.standard.value} M={m_r}: {rate}"
+            results[(profile.value, m_r)] = rate
+            assert 0.0075 <= rate <= 0.0125, f"{profile.value} M={m_r}: {rate}"
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
     detail = ", ".join(f"{k[0]}/M={k[1]}: {v:.4f}" for k, v in results.items())

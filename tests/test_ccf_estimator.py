@@ -108,6 +108,15 @@ def test_spectrum_dc_bin_is_mean_power():
     assert spec.alphas_hz[0] == 0.0
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4096, 100_003])
+def test_spectrum_up_to_nyquist_stays_within_the_record(m):
+    fs = 3.0
+    r = IqBuffer(samples=np.random.default_rng(m).standard_normal(m) + 1j, sample_rate_hz=fs)
+    spec = ccf_spectrum(r, 0, max_alpha_hz=fs / 2)
+    assert spec.alphas_hz[-1] <= fs / 2
+    assert spec.magnitudes.size == spec.alphas_hz.size == m // 2 + 1
+
+
 def test_white_noise_spectrum_stays_below_rayleigh_bound():
     # Under H0 each nonzero grid bin is Rayleigh with scale sigma^2/sqrt(2M);
     # the 6 sigma^2/sqrt(M) bound is 6*sqrt(2) Rayleigh scales, exceeded with

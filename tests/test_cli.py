@@ -1,5 +1,7 @@
 """End-to-end CLI tests: subcommands, file plumbing, exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -259,7 +261,24 @@ def test_classify_refuses_repeated_profile(tmp_path, capsys):
 
 def test_calibrate_refuses_fewer_than_one_expected_exceedance(capsys):
     assert run(["calibrate", "--mr", "3000", "--pf", "1e-6"]) == 2
-    assert "--trials" in capsys.readouterr().err
+    assert "needs p_f >= 0.0001, got p_f=1e-06" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+def test_empirical_null_floor_names_the_smallest_pf(tmp_path, capsys, command):
+    # Neither command has --trials; the message names the P_F floor instead.
+    clean = tmp_path / "c.iq"
+    run(["synth-gsm", "--slots", "4", "--seed", "1", "--out", str(clean)])
+    capsys.readouterr()
+    argv = {
+        "classify": ["classify", "--in", str(clean)],
+        "sweep": ["sweep", "--standard", "gsm", "--snr", "0", "--obs-ms", "10", "--seed", "1",
+                  "--out", str(tmp_path / "s.csv")],
+    }[command]
+    assert run([*argv, "--mode", "empirical_null", "--pf", "1e-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "0.0001" in err and "--trials" not in err
 
 
 def test_large_finite_rs_boost_writes_unit_power(tmp_path):
@@ -308,3 +327,31 @@ def test_usage_error_exit_code(tmp_path):
     run(["synth-gsm", "--slots", "4", "--seed", "1", "--out", str(clean)])
     assert run(["decimate", "--in", str(clean), "--factor", "0",
                 "--out", str(tmp_path / "o.iq")]) == 2
+
+
+def test_decimate_refuses_factor_above_capture_length(tmp_path, capsys):
+    # It used to design a 4.3M-tap filter and write a 1-sample capture.
+    clean, out = tmp_path / "c.iq", tmp_path / "o.iq"
+    run(["synth-gsm", "--slots", "4", "--seed", "1", "--out", str(clean)])
+    assert run(["decimate", "--in", str(clean), "--factor", "100000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "100000" in err and "2500" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate,code", [(3000.0, 2), (4001.0, 1)])
+def test_classify_refuses_slot_rate_above_nyquist(tmp_path, capsys, rate, code):
+    # At 3 kHz LTE's 2 kHz line aliases, though the statistics stay finite;
+    # above twice the fastest slot rate a noise capture classifies as unknown.
+    data = tmp_path / "n.iq"
+    rng = np.random.default_rng(0)
+    samples = (rng.standard_normal(40_000) + 1j * rng.standard_normal(40_000)).astype("<c8")
+    samples.tofile(data)
+    IqFileMeta(sample_rate_hz=rate, sample_count=samples.size).write(f"{data}.meta")
+    assert run(["classify", "--in", str(data), "--json"]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == ""
+        assert "3000 Hz" in err and "gsm" in err
+    else:
+        assert json.loads(out)["label"] == "unknown"

@@ -13,10 +13,8 @@ from cyclodet import (
     ChannelConfig,
     ConfigurationError,
     DetectorConfig,
-    GSM_PROFILE,
     GsmSynthConfig,
     IqBuffer,
-    LTE_PROFILE,
     LteSynthConfig,
     Standard,
     apply_channel,
@@ -207,7 +205,7 @@ def test_threshold_argument_validation():
 def test_repeated_profile_is_refused():
     # classify used to compute and report the same statistic twice.
     with pytest.raises(ConfigurationError, match="repeat"):
-        DetectorConfig(p_f=0.01, profiles=(GSM_PROFILE, LTE_PROFILE, GSM_PROFILE))
+        DetectorConfig(p_f=0.01, profiles=(Standard.GSM, Standard.LTE, Standard.GSM))
 
 
 def test_empirical_null_needs_one_expected_exceedance():
@@ -216,7 +214,8 @@ def test_empirical_null_needs_one_expected_exceedance():
     # 0.0679 closed form, so the false-alarm rate ran about 40x the target.
     with pytest.raises(ConfigurationError) as exc:
         DetectorConfig(p_f=1e-6, threshold_mode="empirical_null")
-    assert "p_f=1e-06 and empirical_null_trials=10000 (calibrate --trials)" in str(exc.value)
+    assert "empirical_null_trials=10000 needs p_f >= 0.0001, got p_f=1e-06" in str(exc.value)
+    assert "--trials" not in str(exc.value)
     DetectorConfig(p_f=1e-4, threshold_mode="empirical_null")
     DetectorConfig(p_f=1e-6, threshold_mode="empirical_null", empirical_null_trials=1_000_000)
     DetectorConfig(p_f=1e-6)
@@ -281,7 +280,7 @@ def test_classify_gsm_and_lte_at_high_snr():
 def test_classify_noise_mostly_undetected():
     hits = 0
     trials = 300
-    cfg = DetectorConfig(p_f=0.01, profiles=(GSM_PROFILE,))
+    cfg = DetectorConfig(p_f=0.01, profiles=(Standard.GSM,))
     for seed in range(trials):
         r = synth_noise(8000, 1.0, seed=1000 + seed, sample_rate_hz=1_083_333.3333333333)
         hits += classify(r, cfg).decisions[0].detected
@@ -297,6 +296,19 @@ def test_classify_rejects_short_buffers_with_minimum():
     r = IqBuffer(samples=np.ones(need - 1), sample_rate_hz=fs)
     with pytest.raises(ValueError, match=str(need)):
         classify(r, cfg)
+
+
+def test_classify_rejects_slot_rate_above_nyquist():
+    # At 1e-300 Hz alpha * T_s overflows and both statistics came out NaN.
+    samples = synth_noise(40_000, 1.0, seed=5, sample_rate_hz=1e6).samples
+    with pytest.raises(ValueError, match=r"1e-300 Hz.*gsm"):
+        classify(IqBuffer(samples=samples, sample_rate_hz=1e-300), DetectorConfig(p_f=0.01))
+    with pytest.raises(ValueError, match=r"3466 Hz.*gsm"):
+        classify(IqBuffer(samples=samples, sample_rate_hz=3466.0),
+                 DetectorConfig(p_f=0.01, profiles=("gsm",)))
+    # Just above twice the fastest slot rate the record classifies.
+    report = classify(IqBuffer(samples=samples, sample_rate_hz=4001.0), DetectorConfig(p_f=0.01))
+    assert all(np.isfinite(d.statistic) for d in report.decisions)
 
 
 def test_classify_rejects_non_finite_power():

@@ -8,8 +8,6 @@ import pytest
 from cyclodet import (
     ConfigurationError,
     DetectorConfig,
-    GSM_PROFILE,
-    LTE_PROFILE,
     Standard,
     SweepConfig,
     SweepResult,
@@ -182,7 +180,7 @@ def test_sweep_minimum_record_is_classify_minimum(std):
 
 def test_false_alarm_calibrated_quick():
     rate = run_false_alarm(1.0, m_r=4000, p_f=0.01, n_trials=4000,
-                           mode="calibrated", profile=GSM_PROFILE)
+                           mode="calibrated", profile=Standard.GSM)
     assert 0.005 < rate < 0.016  # 3-sigma band around 0.01
 
 
@@ -211,7 +209,7 @@ def _false_alarm_loop_reference(noise_power, m_r, p_f, n_trials, mode, profile, 
     """run_false_alarm as a per-trial loop with hand-written draws: each
     record's |r|^2 is noise_power times m_r unit exponentials."""
     det_cfg = DetectorConfig(p_f=p_f, threshold_mode=mode, profiles=(profile,))
-    alpha_ts = profile.fundamental_cf_float / default_sample_rate(profile.standard)
+    alpha_ts = profile.fundamental_cf_float / default_sample_rate(profile)
     phasors = unit_phasors(alpha_ts, m_r)
     unit = threshold(det_cfg, 1.0, m_r)
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0xFA)))
@@ -223,7 +221,7 @@ def _false_alarm_loop_reference(noise_power, m_r, p_f, n_trials, mode, profile, 
     return hits / n_trials
 
 
-@pytest.mark.parametrize("profile", [GSM_PROFILE, LTE_PROFILE], ids=["gsm", "lte"])
+@pytest.mark.parametrize("profile", [Standard.GSM, Standard.LTE], ids=["gsm", "lte"])
 @pytest.mark.parametrize("mode", THRESHOLD_MODES)
 @pytest.mark.parametrize("m_r,n_trials", [(2000, 300), (10_000, 40)])
 def test_false_alarm_matches_per_trial_loop(profile, mode, m_r, n_trials):
@@ -236,7 +234,7 @@ def test_false_alarm_matches_per_trial_loop(profile, mode, m_r, n_trials):
 
 def test_false_alarm_empirical_mode_matches_target():
     rate = run_false_alarm(1.0, m_r=2000, p_f=0.05, n_trials=2000,
-                           mode="empirical_null", profile=LTE_PROFILE)
+                           mode="empirical_null", profile=Standard.LTE)
     assert 0.03 < rate < 0.07
 
 

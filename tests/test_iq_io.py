@@ -163,6 +163,15 @@ def test_decimate_identity():
         decimate(buf, 0)
 
 
+def test_decimate_refuses_factor_above_length_before_design(monkeypatch):
+    # At factor 1e7 the design alone would ask for 432M taps (3.5 GB).
+    buf = _f32_buffer(m=1000)
+    assert len(decimate(buf, 1000)) == 1
+    monkeypatch.setattr("cyclodet.iq_io.decimation_taps", None)  # any design call fails
+    with pytest.raises(ValueError, match=r"1000 samples.*10000000"):
+        decimate(buf, 10_000_000)
+
+
 def test_decimation_filter_design_margins():
     for factor in (4, 16):
         taps = decimation_taps(factor)

@@ -1,6 +1,5 @@
-"""Domain type tests: exact rational profiles and buffer validation."""
+"""Domain type tests: exact rational slot timing and buffer validation."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,16 +7,14 @@ import pytest
 
 from cyclodet import (
     ConfigurationError,
-    GSM_PROFILE,
     IqBuffer,
-    LTE_PROFILE,
     Standard,
     profile_for,
 )
 
 
 def test_gsm_profile_exact_rationals():
-    p = profile_for("gsm")
+    p = Standard.parse("gsm")
     assert p.slot_duration_s == Fraction(15, 26000)
     assert p.fundamental_cf_hz == Fraction(26000, 15)
     assert p.fundamental_cf_float == pytest.approx(1733.3333333, abs=1e-6)
@@ -25,27 +22,29 @@ def test_gsm_profile_exact_rationals():
 
 
 def test_lte_profile_exact_rationals():
-    p = profile_for("lte")
+    p = Standard.parse("lte")
     assert p.slot_duration_s == Fraction(1, 2000)
     assert p.fundamental_cf_hz == 2000
     assert p.secondary_cf_hz == 200
 
 
-@pytest.mark.parametrize("profile", [GSM_PROFILE, LTE_PROFILE])
+@pytest.mark.parametrize("profile", [Standard.GSM, Standard.LTE], ids=["profile0", "profile1"])
 def test_reciprocal_invariant_exact(profile):
     assert profile.fundamental_cf_hz * profile.slot_duration_s == 1
 
 
 def test_profiles_are_value_objects():
-    assert profile_for("gsm") == profile_for(Standard.GSM)
-    assert profile_for("LTE") == profile_for("lte")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        GSM_PROFILE.slot_duration_s = Fraction(1, 2)
+    assert Standard.parse("gsm") is Standard.parse(Standard.GSM) is Standard.GSM
+    assert Standard.parse("LTE") is Standard.parse("lte")
+    assert profile_for("gsm") is Standard.GSM
+    with pytest.raises(AttributeError):
+        Standard.GSM.slot_duration_s = Fraction(1, 2)
+    assert Standard.GSM.slot_duration_s == Fraction(15, 26000)
 
 
 def test_unknown_standard_rejected():
     with pytest.raises(ConfigurationError):
-        profile_for("wimax")
+        Standard.parse("wimax")
 
 
 def test_iq_buffer_validation():

@@ -1,5 +1,7 @@
 """Waveform generator tests: burst layout, CP structure, power, determinism."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from cyclodet import (
     ConfigurationError,
     GsmSynthConfig,
     LteSynthConfig,
+    Standard,
+    default_sample_rate,
     estimate_variance,
+    slot_samples,
     synth_gsm,
     synth_lte,
     synth_noise,
@@ -16,10 +21,12 @@ from cyclodet import waveform_synth
 from cyclodet.waveform_synth import (
     GSM_SLOT_SCHEDULE_LEN,
     GSM_SLOT_SYMBOLS,
+    GSM_SYMBOL_RATE_HZ,
     GSM_TRAINING_LEN,
     GSM_TRAINING_OFFSET,
     GSM_TRAINING_SEQUENCES,
     LTE_SLOTS_PER_FRAME,
+    LTE_SUBCARRIER_SPACING_HZ,
     LTE_SYMBOLS_PER_SLOT,
     _QPSK,
     _cell_constants,
@@ -363,3 +370,15 @@ def test_noise_matches_hand_written_draw(seed):
             raw = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             expected = np.sqrt(power) * (np.sqrt(0.5) * raw)
             np.testing.assert_array_equal(synth_noise(m, power, seed).samples, expected)
+
+
+def test_synthesized_slot_lasts_exactly_the_standards_slot():
+    for fft_size in range(128, 4097, 128):
+        cfg = LteSynthConfig(num_slots=1, fft_size=fft_size)
+        duration = Fraction(cfg.samples_per_slot, cfg.fft_size * LTE_SUBCARRIER_SPACING_HZ)
+        assert duration == Standard.LTE.slot_duration_s
+    assert GSM_SLOT_SYMBOLS / GSM_SYMBOL_RATE_HZ == Standard.GSM.slot_duration_s
+    # slot_samples agrees with the `channel --standard` rule.
+    for s in Standard:
+        assert slot_samples(s) == int(round(s.slot_duration_float * default_sample_rate(s)))
+    assert (slot_samples(Standard.GSM), slot_samples(Standard.LTE)) == (625, 960)
