@@ -73,7 +73,10 @@ def estimate_ccf(r: IqBuffer, alpha_hz: float, tau_samples: int = 0) -> CcfEstim
     """
     lag = _lag_product(r, tau_samples)
     phasors = unit_phasors(alpha_hz * r.sampling_period_s, lag.size)
-    return CcfEstimate(value=complex(np.sum(lag * phasors) / r.m_r), m_r=r.m_r)
+    # In place into the new array unit_phasors returns; lag stays the first
+    # operand, because a complex product with FMA is not commutative bit for bit.
+    np.multiply(lag, phasors, out=phasors)
+    return CcfEstimate(value=complex(np.sum(phasors) / r.m_r), m_r=r.m_r)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .signal_model import IqBuffer
 
+# Samples per block of the channel FIR's shift-add.
+_FIR_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -93,17 +96,26 @@ def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
     if cfg.timing_offset_slot_samples is not None:
         d = int(rng.integers(0, cfg.timing_offset_slot_samples))
 
-    delayed = x.samples
-    if d > 0:
-        delayed = np.concatenate([np.zeros(d, dtype=np.complex128), x.samples[: m - d]])
-    y = np.convolve(delayed, taps)[:m]
+    # The delayed FIR as a shift-add, y[k:] += h_p x[:m - k] with k = p + d,
+    # for each tap that reaches into the buffer. It runs in blocks so that the
+    # product temporaries stay small. The sums run in tap order, so they round
+    # differently from np.convolve's, by at most a few eps of
+    # sum_p |h_p| |x(m - p - d)| per sample.
+    y = np.zeros(m, dtype=np.complex128)
+    for k, h in enumerate(taps[: m - d], start=d):
+        for lo in range(k, m, _FIR_BLOCK):
+            hi = min(lo + _FIR_BLOCK, m)
+            y[lo:hi] += h * x.samples[lo - k : hi - k]
 
     if cfg.cfo_hz != 0.0:
         t = np.arange(m) / x.sample_rate_hz
+        # Not in place: on long buffers numpy reuses the temporary and takes
+        # the product as exp(...) * y, and with FMA a complex product rounds
+        # differently in the other operand order.
         y = y * np.exp(2j * np.pi * cfg.cfo_hz * t)
 
     if np.isfinite(cfg.snr_db):
         noise_power = np.mean(np.abs(y) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
-        y = y + complex_normal(rng, m, noise_power)
+        y += complex_normal(rng, m, noise_power)
 
     return IqBuffer(samples=y, sample_rate_hz=x.sample_rate_hz, center_freq_hz=x.center_freq_hz)

@@ -9,6 +9,7 @@ are unambiguous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,6 +157,22 @@ def _gate_envelope(rel_symbols: np.ndarray) -> np.ndarray:
     return env
 
 
+def _slot_gate(cfg: GsmSynthConfig) -> np.ndarray:
+    """``_gate_envelope`` at every sample time of the burst train.
+
+    With a power-of-two oversample, n / oversample is exact, so the gate
+    repeats bit for bit after each whole number of samples that spans whole
+    slots; one such period is evaluated and tiled. Any other oversample rounds
+    n / oversample, and the gate is evaluated at every sample.
+    """
+    m = cfg.total_samples
+    oversample = cfg.oversample
+    power_of_two = oversample & (oversample - 1) == 0
+    period = (GSM_SLOT_SYMBOLS * oversample).numerator if power_of_two else m
+    t_symbols = np.arange(period, dtype=np.float64) / oversample
+    return np.tile(_gate_envelope(t_symbols % float(GSM_SLOT_SYMBOLS)), m // period)
+
+
 def synth_gsm(cfg: GsmSynthConfig) -> IqBuffer:
     """Generate a GMSK burst train of ``cfg.num_slots`` slots.
 
@@ -168,19 +185,26 @@ def synth_gsm(cfg: GsmSynthConfig) -> IqBuffer:
     starts, bits = gsm_bit_schedule(cfg)
     nrz = bits.astype(np.float64) * 2.0 - 1.0
 
+    # Sample n carries the last bit starting at or before n / oversample:
+    # bit k first holds at sample ceil(starts[k] * oversample). A bit that
+    # starts less than one sample before the next one holds at no sample.
     m = cfg.total_samples
-    t_symbols = np.arange(m, dtype=np.float64) / cfg.oversample
-    drive = nrz[np.searchsorted(starts, t_symbols, side="right") - 1]
+    first = np.ceil(starts * cfg.oversample).astype(np.int64)
+    drive = np.repeat(nrz, np.diff(first, append=m))
 
     kernel = _gaussian_kernel(cfg.oversample)
-    smoothed = np.convolve(drive, kernel, mode="same")
-    phase = (np.pi / (2.0 * cfg.oversample)) * np.cumsum(smoothed)
-    x = np.exp(1j * phase)
+    phase = np.convolve(drive, kernel, mode="same")
+    np.cumsum(phase, out=phase)
+    phase *= np.pi / (2.0 * cfg.oversample)
+    # cos/sin into the real and imaginary parts: bit-equal to exp(1j * phase).
+    x = np.empty(m, dtype=np.complex128)
+    np.cos(phase, out=x.real)
+    np.sin(phase, out=x.imag)
 
     if cfg.guard_mode == "gated":
-        x = x * _gate_envelope(t_symbols % float(GSM_SLOT_SYMBOLS))
+        x *= _slot_gate(cfg)
 
-    x = x / np.sqrt(np.mean(np.abs(x) ** 2))
+    x /= np.sqrt(np.mean(np.abs(x) ** 2))
     return IqBuffer(samples=x, sample_rate_hz=cfg.sample_rate_hz)
 
 
@@ -189,6 +213,9 @@ LTE_SYMBOLS_PER_SLOT = 7
 LTE_SLOTS_PER_FRAME = 20
 _PSS_ROOT = 25
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128) / np.sqrt(2.0)
+# Index q | empty << 2: a kept resource element is the QPSK value itself, an
+# emptied one that value times False, with that product's signed zeros.
+_QPSK_OR_EMPTY = np.concatenate([_QPSK, _QPSK * False])
 
 
 @dataclass(frozen=True)
@@ -301,32 +328,37 @@ def synth_lte(cfg: LteSynthConfig) -> IqBuffer:
     # it against the per-symbol loop.
     thinned = cfg.data_occupancy < 1.0
     words = rng.integers(0, 2**64, (data_rows.size, nsc // 2 + nsc * thinned), dtype=np.uint64)
-    # Top two bits of the low half, then of the high half.
-    qpsk_index = (words[:, : nsc // 2, None] >> np.array([30, 62], dtype=np.uint64)) & np.uint64(3)
-    data = _QPSK[qpsk_index.reshape(data_rows.size, nsc)]
+    # Little-endian words read as 32-bit halves put each low half first.
+    qpsk_index = words[:, : nsc // 2].astype("<u8", copy=False).view("<u4") >> 30
     if thinned:
-        uniform = (words[:, nsc // 2 :] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        data = data * (uniform < cfg.data_occupancy)
+        # (word >> 11) * 2**-53 >= occupancy, in exact integer form: scaling
+        # by 2**53 and the shift by 11 lose nothing.
+        first_empty = np.uint64(math.ceil(cfg.data_occupancy * 2.0**53) << 11)
+        qpsk_index |= (words[:, nsc // 2 :] >= first_empty).view(np.uint8) << 2
 
     grid = np.zeros((rows.size, cfg.fft_size), dtype=np.complex128)
     grid[np.ix_(pss_rows, sync_bins)] = pss
     grid[np.ix_(sss_rows, sync_bins)] = sss
-    grid[np.ix_(data_rows, data_bins)] = data
+    grid[np.ix_(data_rows, data_bins)] = _QPSK_OR_EMPTY[qpsk_index]
     # Reference signals overwrite the data of symbols 0 and 4.
     grid[np.ix_(rows[sym == 0], data_bins[rs_cols0])] = rs_vals0
     grid[np.ix_(rows[sym == 4], data_bins[rs_cols4])] = rs_vals4
 
-    bodies = np.fft.ifft(grid, axis=1)
+    bodies = np.fft.ifft(grid, axis=1, out=grid)
 
-    # One slot's sample order over its symbol bodies: each symbol's cyclic
-    # prefix (the last n_cp samples of its body), then the body itself.
+    # Each slot's symbols in turn: the cyclic prefix (the last n_cp samples
+    # of the body), then the body itself.
     n = cfg.fft_size
-    slot_index = np.concatenate(
-        [k * n + np.r_[n - n_cp : n, 0:n] for k, n_cp in enumerate(cfg.cp_lengths)]
-    )
-    out = bodies.reshape(cfg.num_slots, -1)[:, slot_index].ravel()
+    bodies = bodies.reshape(cfg.num_slots, LTE_SYMBOLS_PER_SLOT, n)
+    out = np.empty((cfg.num_slots, cfg.samples_per_slot), dtype=np.complex128)
+    start = 0
+    for k, n_cp in enumerate(cfg.cp_lengths):
+        out[:, start : start + n_cp] = bodies[:, k, n - n_cp :]
+        out[:, start + n_cp : start + n_cp + n] = bodies[:, k]
+        start += n_cp + n
+    out = out.ravel()
 
-    out = out / np.sqrt(np.mean(np.abs(out) ** 2))
+    out /= np.sqrt(np.mean(np.abs(out) ** 2))
     return IqBuffer(samples=out, sample_rate_hz=cfg.sample_rate_hz)
 
 

@@ -205,6 +205,23 @@ def test_phasor_cache_hands_out_fresh_arrays():
     assert _phasor_table.cache_info().maxsize == 16
 
 
+@pytest.mark.parametrize("m", [5000, 1 << 14, 40_000])
+def test_in_place_product_keeps_the_cached_table(m):
+    # estimate_ccf multiplies the lag product into the array unit_phasors
+    # returns, which must never be the cached table itself.
+    r = synth_noise(m, 1.0, seed=4, sample_rate_hz=1e6)
+    alpha_hz = 1733.3
+    alpha_ts = alpha_hz * r.sampling_period_s
+    s = r.samples
+    for tau in (0, 3):
+        lag = s[: m - tau] * np.conj(s[tau:]) if tau else np.abs(s) ** 2
+        expected = complex(np.sum(lag * unit_phasors(alpha_ts, lag.size)) / m)
+        assert estimate_ccf(r, alpha_hz, tau).value == expected
+        np.testing.assert_array_equal(
+            _phasor_table(alpha_ts), np.exp(-2j * np.pi * alpha_ts * np.arange(1 << 14))
+        )
+
+
 def test_spectrum_csv_round_trip(tmp_path):
     r = synth_noise(512, 1.0, seed=12)
     spec = ccf_spectrum(r, 0, max_alpha_hz=0.3)

@@ -159,6 +159,12 @@ def _draw_taps_reference(cfg, rng):
     )
 
 
+def _fir_convolve_reference(x, taps, d):
+    """The delayed FIR as np.convolve over a zero-prefixed copy of x, cut to its length."""
+    m = len(x)
+    return np.convolve(np.concatenate([np.zeros(d, dtype=x.dtype), x[: m - d]]), taps)[:m]
+
+
 def _apply_channel_reference(x, cfg):
     rng = np.random.default_rng(cfg.seed)
     taps = _draw_taps_reference(cfg, rng)
@@ -166,10 +172,11 @@ def _apply_channel_reference(x, cfg):
     if cfg.timing_offset_slot_samples is not None:
         d = int(rng.integers(0, cfg.timing_offset_slot_samples))
     m = len(x)
-    delayed = x.samples
-    if d > 0:
-        delayed = np.concatenate([np.zeros(d, dtype=np.complex128), x.samples[: m - d]])
-    y = np.convolve(delayed, taps)[:m]
+    # The FIR as one unblocked shift-add per tap, in tap order.
+    y = np.zeros(m, dtype=np.complex128)
+    for p, h in enumerate(taps):
+        if d + p < m:
+            y[d + p :] += h * x.samples[: m - d - p]
     if cfg.cfo_hz != 0.0:
         y = y * np.exp(2j * np.pi * cfg.cfo_hz * (np.arange(m) / x.sample_rate_hz))
     if np.isfinite(cfg.snr_db):
@@ -197,16 +204,44 @@ def test_complex_normal_matches_two_draw_expression(seed, n, power):
 
 @pytest.mark.parametrize("seed", [0, 3, 2**62 + 3])
 def test_draws_match_hand_written_references(seed):
-    x = synth_noise(3000, 1.0, seed=11, sample_rate_hz=1e6)
-    for taps, decay in ((1, 5.0), (4, 5.0), (9, 0.5)):
-        cfg = ChannelConfig(snr_db=0.0, num_taps=taps, pdp_decay=decay, seed=seed)
-        np.testing.assert_array_equal(
-            draw_taps(cfg, np.random.default_rng(seed)),
-            _draw_taps_reference(cfg, np.random.default_rng(seed)),
-        )
-        for snr_db, offset, cfo_hz in ((np.inf, None, 0.0), (-3.0, 625, 150.0), (10.0, None, 0.0)):
-            ch = ChannelConfig(snr_db=snr_db, num_taps=taps, pdp_decay=decay, seed=seed,
-                               timing_offset_slot_samples=offset, cfo_hz=cfo_hz)
+    # 40,000 samples span three blocks of the FIR's shift-add.
+    for m in (3000, 40_000):
+        x = synth_noise(m, 1.0, seed=11, sample_rate_hz=1e6)
+        for taps, decay in ((1, 5.0), (4, 5.0), (9, 0.5)):
+            cfg = ChannelConfig(snr_db=0.0, num_taps=taps, pdp_decay=decay, seed=seed)
             np.testing.assert_array_equal(
-                apply_channel(x, ch).samples, _apply_channel_reference(x, ch)
+                draw_taps(cfg, np.random.default_rng(seed)),
+                _draw_taps_reference(cfg, np.random.default_rng(seed)),
             )
+            for snr_db, offset, cfo_hz in (
+                (np.inf, None, 0.0), (-3.0, 625, 150.0), (10.0, None, 0.0)
+            ):
+                ch = ChannelConfig(snr_db=snr_db, num_taps=taps, pdp_decay=decay, seed=seed,
+                                   timing_offset_slot_samples=offset, cfo_hz=cfo_hz)
+                np.testing.assert_array_equal(
+                    apply_channel(x, ch).samples, _apply_channel_reference(x, ch)
+                )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 5000),
+    num_taps=st.integers(1, 12),
+    offset_range=st.integers(1, 5000),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_fir_within_rounding_of_zero_prefixed_convolution(m, num_taps, offset_range, seed):
+    # The shift-add FIR only reorders the rounding of np.convolve's sums:
+    # |dy(n)| <= 8 eps sum_p |h_p| |x(n - p - d)|. The delay d is uniform over
+    # [0, offset_range) with offset_range <= m, so it reaches every d < m, and
+    # num_taps may exceed m - d.
+    offset_range = min(offset_range, m)
+    x = synth_noise(m, 1.0, seed=seed % 2**32, sample_rate_hz=1e6).samples
+    cfg = ChannelConfig(snr_db=np.inf, num_taps=num_taps, timing_offset_slot_samples=offset_range,
+                        seed=seed)
+    y = apply_channel(IqBuffer(samples=x, sample_rate_hz=1e6), cfg).samples
+    rng = np.random.default_rng(seed)
+    taps = draw_taps(cfg, rng)
+    d = int(rng.integers(0, offset_range))
+    bound = 8 * np.finfo(np.float64).eps * _fir_convolve_reference(np.abs(x), np.abs(taps), d)
+    assert np.all(np.abs(y - _fir_convolve_reference(x, taps, d)) <= bound)

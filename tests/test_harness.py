@@ -1,6 +1,7 @@
 """Harness tests: seeding/reproducibility, false-alarm runs, figure CSVs."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from cyclodet import (
     ConfigurationError,
     DetectorConfig,
+    IqBuffer,
     Standard,
     SweepConfig,
     SweepResult,
@@ -20,8 +22,24 @@ from cyclodet import (
 )
 from cyclodet import experiment_harness
 from cyclodet.ccf_estimator import unit_phasors
-from cyclodet.detector import THRESHOLD_MODES, centered_power_statistic, minimum_samples, threshold
-from cyclodet.experiment_harness import _trial_seeds, reference_waveform, run_single_trial
+from cyclodet.channel_sim import apply_channel, complex_normal, draw_taps
+from cyclodet.detector import (
+    THRESHOLD_MODES,
+    centered_power_statistic,
+    classify,
+    mean_power_leakage,
+    minimum_samples,
+    threshold,
+)
+from cyclodet.experiment_harness import (
+    REFERENCE_CHANNEL,
+    _reference_config,
+    _trial_seeds,
+    reference_waveform,
+    run_single_trial,
+)
+from test_channel_sim import _fir_convolve_reference
+from test_waveform_synth import _synth_gsm_reference, _synth_lte_loop
 
 
 def test_default_rates_and_slots():
@@ -113,6 +131,61 @@ def test_trials_are_exchangeable():
         wf_seed, ch_seed = _trial_seeds(3, 0, trial)
         reversed_outcomes[trial] = run_single_trial(Standard.GSM, 5.0, m_r, det, wf_seed, ch_seed)
     assert outcomes == reversed_outcomes
+
+
+def _channel_reference(x, cfg):
+    """apply_channel with the zero-prefixed np.convolve FIR and out-of-place steps."""
+    rng = np.random.default_rng(cfg.seed)
+    taps = draw_taps(cfg, rng)
+    d = int(rng.integers(0, cfg.timing_offset_slot_samples))
+    y = _fir_convolve_reference(x, taps, d)
+    noise_power = np.mean(np.abs(y) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
+    return y + complex_normal(rng, x.size, noise_power)
+
+
+@pytest.mark.parametrize("snr_db", [-5.0, 5.0])
+@pytest.mark.parametrize("obs_s", [0.010, 0.050])
+@pytest.mark.parametrize("standard", list(Standard))
+def test_trials_match_reference_forms(standard, obs_s, snr_db):
+    # The trial rebuilt from the reference synthesis, the np.convolve channel
+    # and the statistic written out: the same labels, and statistics within
+    # 1e-12 of sum |p - mean p| / M, the scale on which a reordered sum can
+    # move them (a cancelling transform can be far smaller than that).
+    det = DetectorConfig(p_f=0.01)
+    fs = default_sample_rate(standard)
+    m_r = int(round(obs_s * fs))
+    n_slot = slot_samples(standard)
+    num_slots = int(np.ceil(m_r / n_slot)) + 1
+    for trial in range(2):
+        wf_seed, ch_seed = _trial_seeds(0, round(obs_s * 1e3), trial)
+        ch = replace(
+            REFERENCE_CHANNEL, snr_db=snr_db, timing_offset_slot_samples=n_slot, seed=ch_seed
+        )
+        y = apply_channel(reference_waveform(standard, num_slots, wf_seed), ch)
+        window = IqBuffer(samples=y.samples[n_slot : n_slot + m_r], sample_rate_hz=fs)
+        report = classify(window, det)
+        assert run_single_trial(standard, snr_db, m_r, det, wf_seed, ch_seed) == (
+            report.label is standard
+        )
+
+        cfg = _reference_config(standard, num_slots, wf_seed)
+        x = _synth_gsm_reference(cfg) if standard is Standard.GSM else _synth_lte_loop(cfg)
+        r = _channel_reference(x, ch)[n_slot : n_slot + m_r]
+        p = np.abs(r) ** 2
+        sigma_r_sq = float(np.mean(p))
+        stats = [
+            abs(np.sum(p * unit_phasors(s.fundamental_cf_float / fs, m_r)) / m_r
+                - sigma_r_sq * mean_power_leakage(s.fundamental_cf_float, fs, m_r))
+            for s in det.profiles
+        ]
+        best = int(np.argmax(stats))
+        label = det.profiles[best] if stats[best] > threshold(det, sigma_r_sq, m_r) else None
+
+        assert report.label is label
+        assert report.sigma_r_sq == pytest.approx(sigma_r_sq, rel=1e-12)
+        scale = np.sum(np.abs(p - sigma_r_sq)) / m_r
+        for d, stat in zip(report.decisions, stats):
+            assert abs(d.statistic - stat) <= 1e-12 * scale
 
 
 def test_sweep_accepts_standard_name():

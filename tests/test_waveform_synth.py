@@ -30,6 +30,8 @@ from cyclodet.waveform_synth import (
     LTE_SYMBOLS_PER_SLOT,
     _QPSK,
     _cell_constants,
+    _gate_envelope,
+    _gaussian_kernel,
     _pss_sequence,
     gsm_bit_schedule,
 )
@@ -72,6 +74,21 @@ def _gsm_bit_schedule_loop(cfg):
         starts[lo : lo + GSM_SLOT_SCHEDULE_LEN] = float(s) * float(GSM_SLOT_SYMBOLS) + offsets
         bits[lo : lo + GSM_SLOT_SCHEDULE_LEN] = slot_bits
     return starts, bits
+
+
+def _synth_gsm_reference(cfg):
+    """Reference: synth_gsm with a searchsorted drive, the gate evaluated at
+    every sample, exp(1j * phase) and an out-of-place normalization."""
+    starts, bits = gsm_bit_schedule(cfg)
+    nrz = bits.astype(np.float64) * 2.0 - 1.0
+    t_symbols = np.arange(cfg.total_samples, dtype=np.float64) / cfg.oversample
+    drive = nrz[np.searchsorted(starts, t_symbols, side="right") - 1]
+    smoothed = np.convolve(drive, _gaussian_kernel(cfg.oversample), mode="same")
+    phase = (np.pi / (2.0 * cfg.oversample)) * np.cumsum(smoothed)
+    x = np.exp(1j * phase)
+    if cfg.guard_mode == "gated":
+        x = x * _gate_envelope(t_symbols % float(GSM_SLOT_SYMBOLS))
+    return x / np.sqrt(np.mean(np.abs(x) ** 2))
 
 
 def _synth_lte_loop(cfg):
@@ -183,6 +200,18 @@ def test_gsm_schedule_matches_per_slot_loop(guard_mode, tsc, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(waveform_synth, "gsm_bit_schedule", _gsm_bit_schedule_loop)
             _assert_bit_equal(samples, synth_gsm(cfg).samples)
+
+
+@pytest.mark.parametrize("guard_mode", ["random_bits", "gated"])
+@pytest.mark.parametrize("oversample", [2, 4, 8, 12])
+def test_gsm_matches_reference_forms(oversample, guard_mode):
+    # Oversample 2 leaves the last guard bit of each slot on no sample, and 12
+    # is not a power of two, so the gate is evaluated at every sample there.
+    for num_slots, seed in _reference_cases((2, 38, 1000)):
+        cfg = GsmSynthConfig(
+            num_slots=num_slots, oversample=oversample, seed=seed, guard_mode=guard_mode
+        )
+        _assert_bit_equal(synth_gsm(cfg).samples, _synth_gsm_reference(cfg))
 
 
 def test_gsm_gated_guard_drops_power():
