@@ -109,10 +109,11 @@ def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
 
     if cfg.cfo_hz != 0.0:
         t = np.arange(m) / x.sample_rate_hz
-        # Not in place: on long buffers numpy reuses the temporary and takes
-        # the product as exp(...) * y, and with FMA a complex product rounds
-        # differently in the other operand order.
-        y = y * np.exp(2j * np.pi * cfg.cfo_hz * t)
+        rot = np.exp(2j * np.pi * cfg.cfo_hz * t)
+        # Operand order fixed as y * rot: with FMA a complex product rounds
+        # differently in the other order, and `y * np.exp(...)` lets numpy
+        # swap the operands when it reuses the temporary of a long buffer.
+        y = np.multiply(y, rot, out=rot)
 
     if np.isfinite(cfg.snr_db):
         noise_power = np.mean(np.abs(y) ** 2) / 10.0 ** (cfg.snr_db / 10.0)

@@ -3,6 +3,10 @@
 The one interchange format is interleaved 32-bit little-endian IEEE-754
 floats, I then Q, with a ``key=value`` sidecar ``<file>.meta`` carrying at
 least ``sample_rate_hz``. Widely convertible from SDR capture tools.
+
+Decimation is a Kaiser windowed-sinc low-pass evaluated only at the samples
+it keeps: overlap-save blocks whose spectra are folded to the output rate
+before the inverse transform, run in batches of bounded size.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve, firwin, kaiserord
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
+from scipy.signal import firwin, kaiserord
 
 from .errors import FormatError, UnsupportedFormatError
 from .signal_model import IqBuffer
@@ -155,11 +161,28 @@ def decimation_taps(factor: int) -> np.ndarray:
     return firwin(numtaps, cutoff=0.8 / factor, window=("kaiser", beta))
 
 
+_BLOCK_PER_TAP = 4  # overlap-save block length, in filter lengths
+_CHUNK_SAMPLES = 1 << 17  # input samples transformed per batch of blocks
+
+
 def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
     """Low-pass filter and keep every factor-th sample.
 
     The filter's integer group delay is compensated, so the output stays
-    aligned to the input start. factor=1 passes the samples through bit-exact.
+    aligned to the input start: output k is the full-rate filter output at
+    input sample factor*k, the input read as zero outside the buffer.
+    factor=1 passes the samples through bit-exact.
+
+    Only the kept samples are computed, by overlap-save with spectral
+    folding. Each block of n input samples (n a multiple of factor) is
+    transformed and multiplied by the filter's spectrum; summing its factor
+    sub-bands of n/factor bins and dividing by factor is the spectrum of the
+    block's circular output decimated by factor, so one inverse transform of
+    n/factor points gives the kept samples. The taps are front-padded to
+    1 + a multiple of factor taps, so each block's first valid output is one
+    of them. Blocks are transformed in batches of about _CHUNK_SAMPLES input
+    samples, so the working set does not grow with the buffer and the
+    transform lengths depend on the factor alone.
     """
     if not 1 <= factor <= len(buf):
         raise ValueError(
@@ -170,10 +193,40 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
         return buf
     taps = decimation_taps(factor)
     delay = (taps.size - 1) // 2
-    full = fftconvolve(buf.samples, taps, mode="full")
-    aligned = full[delay : delay + len(buf)]
+    taps = np.concatenate((np.zeros(-(taps.size - 1) % factor), taps))
+    overlap = taps.size - 1  # a multiple of factor
+    sub = sp_fft.next_fast_len(-(-_BLOCK_PER_TAP * taps.size // factor))
+    n = sub * factor
+    hop = n - overlap  # input samples per block, factor times its kept outputs
+    spectrum = sp_fft.fft(taps, n)
+
+    x = buf.samples
+    out = np.empty(-(-x.size // factor), dtype=np.complex128)
+    per_chunk = max(1, _CHUNK_SAMPLES // hop)
+    # Buffers reused by every batch: fresh ones would fault in new pages each time.
+    seg = np.empty((per_chunk - 1) * hop + n, dtype=np.complex128)
+    frames = np.empty((per_chunk, n), dtype=np.complex128)
+    folded = np.empty((per_chunk, sub), dtype=np.complex128)
+    for first in range(0, out.size, per_chunk * hop // factor):
+        blocks = min(per_chunk, -(-(out.size - first) * factor // hop))
+        # Block b of this batch reads input samples lo + b*hop onwards.
+        lo = first * factor - delay
+        size = (blocks - 1) * hop + n
+        start, stop = max(lo, 0), min(lo + size, x.size)
+        seg[: start - lo] = 0
+        seg[start - lo : stop - lo] = x[start:stop]
+        seg[stop - lo : size] = 0
+        spec = frames[:blocks]
+        np.copyto(spec, sliding_window_view(seg[:size], n)[::hop])
+        spec = sp_fft.fft(spec, axis=-1, overwrite_x=True)
+        spec *= spectrum
+        fold = spec.reshape(blocks, factor, sub).sum(axis=1, out=folded[:blocks])
+        fold /= factor
+        kept = sp_fft.ifft(fold, axis=-1, overwrite_x=True)[:, overlap // factor :]
+        count = min(kept.size, out.size - first)
+        out[first : first + count] = kept.reshape(-1)[:count]
     return IqBuffer(
-        samples=aligned[::factor],
+        samples=out,
         sample_rate_hz=buf.sample_rate_hz / factor,
         center_freq_hz=buf.center_freq_hz,
     )

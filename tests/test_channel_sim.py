@@ -178,7 +178,9 @@ def _apply_channel_reference(x, cfg):
         if d + p < m:
             y[d + p :] += h * x.samples[: m - d - p]
     if cfg.cfo_hz != 0.0:
-        y = y * np.exp(2j * np.pi * cfg.cfo_hz * (np.arange(m) / x.sample_rate_hz))
+        # Explicitly y * exp(...): the operator form lets numpy reuse the
+        # temporary of a long buffer as exp(...) * y, which rounds differently.
+        y = np.multiply(y, np.exp(2j * np.pi * cfg.cfo_hz * (np.arange(m) / x.sample_rate_hz)))
     if np.isfinite(cfg.snr_db):
         noise_power = np.mean(np.abs(y) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
         y = y + np.sqrt(noise_power / 2.0) * (
@@ -221,6 +223,15 @@ def test_draws_match_hand_written_references(seed):
                 np.testing.assert_array_equal(
                     apply_channel(x, ch).samples, _apply_channel_reference(x, ch)
                 )
+
+
+@pytest.mark.parametrize("m", [16_383, 16_384])
+def test_cfo_rotation_rounds_alike_at_every_length(m):
+    # 16,384 complex samples (256 KB) is where numpy starts to reuse the
+    # temporary of `y * np.exp(...)`, which swaps the product's operands.
+    x = synth_noise(m, 1.0, seed=5, sample_rate_hz=1e6)
+    cfg = ChannelConfig(snr_db=np.inf, num_taps=3, seed=9, cfo_hz=150.0)
+    np.testing.assert_array_equal(apply_channel(x, cfg).samples, _apply_channel_reference(x, cfg))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,11 +1,12 @@
 """IQ file round trips, sidecar parsing, and decimation filter behavior."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import firwin, kaiserord
@@ -251,8 +252,19 @@ def _decimate_reference(x, factor):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(50, 20_000), factor=st.integers(2, 16))
+@example(seed=1, m=2, factor=2)
+@example(seed=2, m=16, factor=16)
+@example(seed=3, m=decimation_taps(5).size - 1, factor=5)
+@example(seed=4, m=decimation_taps(16).size - 1, factor=16)
+@example(seed=5, m=decimation_taps(3).size + 3, factor=3)
+@example(seed=6, m=decimation_taps(16).size + 3, factor=16)
+# Long enough for many overlap-save blocks and several batches of them.
+@example(seed=7, m=300_001, factor=3)
+@example(seed=8, m=300_001, factor=4)
+@example(seed=9, m=300_001, factor=16)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 20_000), factor=st.integers(2, 16))
 def test_decimate_matches_documented_filter(seed, m, factor):
+    assume(m >= factor)
     x = synth_noise(m, 1.0, seed=seed, sample_rate_hz=1e6)
     out = decimate(x, factor)
     ref = _decimate_reference(x.samples, factor)
@@ -260,3 +272,23 @@ def test_decimate_matches_documented_filter(seed, m, factor):
     assert out.samples.shape == ref.shape
     rms = np.sqrt(np.mean(np.abs(ref) ** 2))
     assert np.max(np.abs(out.samples - ref)) <= 1e-12 * rms
+
+
+@pytest.mark.parametrize("factor", [3, 4, 16])
+def test_decimate_batching_does_not_change_output(monkeypatch, factor):
+    x = synth_noise(100_003, 1.0, seed=factor, sample_rate_hz=1e6)
+    batched = decimate(x, factor).samples
+    monkeypatch.setattr("cyclodet.iq_io._CHUNK_SAMPLES", 1)  # one block per batch
+    np.testing.assert_array_equal(decimate(x, factor).samples, batched)
+
+
+@pytest.mark.parametrize("factor", [3, 4, 16])
+def test_decimate_memory_stays_bounded(factor):
+    x = synth_noise(1_000_000, 1.0, seed=0, sample_rate_hz=1e6)
+    tracemalloc.start()
+    try:
+        decimate(x, factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * x.samples.nbytes  # 32 MB
