@@ -4,10 +4,12 @@
 
     C_hat(alpha, tau) = (1/M_r) * sum_m r(m) conj(r(m + tau)) exp(-j 2 pi alpha m T_s)
 
-at one exact cyclic frequency by direct accumulation, so frequencies such as
-26000/15 Hz need no grid tricks. ``ccf_spectrum`` evaluates the whole natural
-DFT grid alpha_k = k / (M_r T_s) at once for plots; the two agree on every
-grid point and that equivalence is enforced by tests.
+at one exact cyclic frequency, so frequencies such as 26000/15 Hz need no grid
+tricks. The sum runs block by block: each block of 2**14 lag products is
+multiplied by one cached phasor table, and the block sums are rotated by the
+phasors of the block starts. ``ccf_spectrum`` evaluates the whole natural DFT
+grid alpha_k = k / (M_r T_s) at once for plots; the two agree on every grid
+point and that equivalence is enforced by tests.
 """
 
 from __future__ import annotations
@@ -55,13 +57,13 @@ def unit_phasors(alpha_ts: float, m: int) -> np.ndarray:
 
 
 def _lag_product(r: IqBuffer, tau_samples: int) -> np.ndarray:
-    """r(m) conj(r(m + tau)) for m = 0..M_r - tau - 1, or |r|^2 at tau = 0."""
+    """r(m) conj(r(m + tau)) for m = 0..M_r - tau - 1, or the buffer's |r|^2 at tau = 0."""
     m = r.m_r
     if not 0 <= tau_samples < m:
         raise ValueError(f"tau_samples must be in [0, {m}), got {tau_samples}")
     if tau_samples:
         return r.samples[: m - tau_samples] * np.conj(r.samples[tau_samples:])
-    return np.abs(r.samples) ** 2
+    return r.power
 
 
 def estimate_ccf(r: IqBuffer, alpha_hz: float, tau_samples: int = 0) -> CcfEstimate:
@@ -69,14 +71,30 @@ def estimate_ccf(r: IqBuffer, alpha_hz: float, tau_samples: int = 0) -> CcfEstim
 
     The lag product is truncated at the buffer end while the normalization
     stays 1/M_r; at tau = 0 (the detector's operating point) the sum is exact.
-    Accumulation relies on numpy's pairwise summation.
+
+    The phasor at sample b * 2**14 + i factors into the block-start phasor
+    exp(-j 2 pi alpha_ts 2**14 b) times the cached table entry i, so each
+    block is summed against the table and the block sums are dotted with the
+    block-start phasors, themselves unit phasors at the block rate. A real lag
+    (tau = 0) takes one real product with the table's (2**14, 2) view; no
+    phasor array as long as the buffer is built.
     """
     lag = _lag_product(r, tau_samples)
-    phasors = unit_phasors(alpha_hz * r.sampling_period_s, lag.size)
-    # In place into the new array unit_phasors returns; lag stays the first
-    # operand, because a complex product with FMA is not commutative bit for bit.
-    np.multiply(lag, phasors, out=phasors)
-    return CcfEstimate(value=complex(np.sum(phasors) / r.m_r), m_r=r.m_r)
+    alpha_ts = alpha_hz * r.sampling_period_s
+    block = _PHASOR_BLOCK
+    n_full, tail = divmod(lag.size, block)
+    n_blocks = n_full + (tail > 0)
+    table = _phasor_table(alpha_ts)
+    sums = np.empty(n_blocks, dtype=np.complex128)
+    kernel, out = table, sums
+    if np.isrealobj(lag):
+        kernel = table.view(np.float64).reshape(block, 2)
+        out = sums.view(np.float64).reshape(n_blocks, 2)
+    np.matmul(lag[: n_full * block].reshape(n_full, block), kernel, out=out[:n_full])
+    if tail:
+        np.matmul(lag[n_full * block :][None, :], kernel[:tail], out=out[n_full:])
+    carriers = unit_phasors((alpha_ts * block) % 1.0, n_blocks)
+    return CcfEstimate(value=complex(sums @ carriers / r.m_r), m_r=r.m_r)
 
 
 @dataclass(frozen=True)

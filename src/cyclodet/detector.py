@@ -59,7 +59,7 @@ class DetectorConfig:
 
 def estimate_variance(r: IqBuffer) -> float:
     """Mean received power (the variance under the zero-mean assumption)."""
-    return float(np.mean(np.abs(r.samples) ** 2))
+    return float(np.mean(r.power))
 
 
 def mean_power_leakage(alpha_hz: float, sample_rate_hz: float, m_r: int) -> complex:

@@ -112,12 +112,19 @@ def save_iq(buf: IqBuffer, path) -> None:
     ).write(_meta_path(path))
 
 
+_READ_CHUNK = 1 << 16  # samples read and checked at a time
+
+
 def load_iq(path) -> IqBuffer:
     """Read a cf32le capture and its sidecar into an IqBuffer.
 
     Rejects, naming the file: a length that is not whole samples, an empty
     capture, a ``sample_count`` that differs from the data (a capture cut
     short by whole samples), and non-finite or all-zero samples.
+
+    The file is read in chunks of _READ_CHUNK samples into one reused
+    float32 buffer; each chunk is checked there and widened into the
+    complex128 output, so no full-length float32 copy is made.
     """
     meta = IqFileMeta.read(_meta_path(path))
     size = os.path.getsize(path)
@@ -126,20 +133,31 @@ def load_iq(path) -> IqBuffer:
             f"{path}: length {size} bytes is not a whole number of "
             f"{_BYTES_PER_SAMPLE}-byte cf32le samples"
         )
-    samples = np.fromfile(path, dtype="<c8")
-    if samples.size == 0:
+    count = size // _BYTES_PER_SAMPLE
+    if count == 0:
         raise FormatError(f"{path}: capture holds no samples")
-    if meta.sample_count is not None and meta.sample_count != samples.size:
+    if meta.sample_count is not None and meta.sample_count != count:
         raise FormatError(
-            f"{path}: holds {samples.size} samples, but {_meta_path(path)} declares "
+            f"{path}: holds {count} samples, but {_meta_path(path)} declares "
             f"sample_count={meta.sample_count}"
         )
-    if not np.isfinite(samples).all():
-        raise FormatError(f"{path}: capture holds non-finite samples")
-    if not samples.any():
+    samples = np.empty(count, dtype=np.complex128)
+    chunk = np.empty(min(count, _READ_CHUNK), dtype="<c8")
+    nonzero = False
+    with open(path, "rb") as fh:
+        for start in range(0, count, chunk.size):
+            part = chunk[: count - start]
+            if fh.readinto(part.view(np.uint8)) != part.nbytes:
+                raise FormatError(f"{path}: capture ended before its {size} bytes")
+            floats = part.view("<f4")
+            if not np.isfinite(floats).all():
+                raise FormatError(f"{path}: capture holds non-finite samples")
+            nonzero = nonzero or bool(floats.any())
+            samples[start : start + part.size] = part
+    if not nonzero:
         raise FormatError(f"{path}: capture holds only zero samples")
     return IqBuffer(
-        samples=samples.astype(np.complex128),
+        samples=samples,
         sample_rate_hz=meta.sample_rate_hz,
         center_freq_hz=meta.center_freq_hz,
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -71,7 +72,8 @@ profile_for = Standard.parse
 class IqBuffer:
     """Complex baseband samples plus sampling metadata.
 
-    ``samples`` is treated as immutable by every consumer in this package.
+    ``samples`` is treated as immutable by every consumer in this package,
+    which is what lets ``power`` be computed once and kept.
     The sampling period is derived from ``sample_rate_hz``, never stored.
     """
 
@@ -97,6 +99,13 @@ class IqBuffer:
     def m_r(self) -> int:
         """Number of received samples."""
         return self.samples.size
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        """Instantaneous power |r|^2, computed on first use and read-only."""
+        power = np.abs(self.samples) ** 2
+        power.flags.writeable = False
+        return power
 
     @property
     def sampling_period_s(self) -> float:

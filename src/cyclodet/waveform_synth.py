@@ -9,6 +9,7 @@ are unambiguous.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -276,18 +277,57 @@ def _pss_sequence() -> np.ndarray:
     return np.concatenate([zc[:31], zc[32:]])
 
 
-def _cell_constants(cfg: LteSynthConfig):
+def _cell_constants(n_rb: int, rs_power_boost_db: float, cell_seed: int):
     """Per-cell fixed quantities: RS placement/values and the SSS sequence."""
-    crng = np.random.default_rng(cfg.cell_seed)
-    nsc = 12 * cfg.n_rb
+    crng = np.random.default_rng(cell_seed)
+    nsc = 12 * n_rb
     v0 = int(crng.integers(0, 6))
     rs_cols_sym0 = np.arange(v0, nsc, 6)
     rs_cols_sym4 = np.arange((v0 + 3) % 6, nsc, 6)
-    boost = 10.0 ** (cfg.rs_power_boost_db / 20.0)
+    boost = 10.0 ** (rs_power_boost_db / 20.0)
     rs_sym0 = _QPSK[crng.integers(0, 4, rs_cols_sym0.size)] * boost
     rs_sym4 = _QPSK[crng.integers(0, 4, rs_cols_sym4.size)] * boost
     sss = (crng.integers(0, 2, 62).astype(np.float64) * 2.0 - 1.0).astype(np.complex128)
     return rs_cols_sym0, rs_sym0, rs_cols_sym4, rs_sym4, sss
+
+
+@functools.lru_cache(maxsize=8)
+def _lte_layout(
+    num_slots: int, n_rb: int, fft_size: int, rs_power_boost_db: float, cell_seed: int
+):
+    """The grid layout of one cell over num_slots slots, as read-only arrays:
+    the rows that carry data, the used subcarriers, and the flat grid positions
+    and values of the PSS, SSS and reference signals.
+
+    It depends on the cell fields and the slot count only, so every trial of
+    a sweep shares it; the data draw is the only per-call part of a grid.
+    """
+    nsc = 12 * n_rb
+    half = nsc // 2
+    # Used subcarriers straddle DC, which itself stays empty.
+    data_bins = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)]) % fft_size
+    sync_bins = np.concatenate([np.arange(-31, 0), np.arange(1, 32)]) % fft_size
+    rs_cols0, rs_vals0, rs_cols4, rs_vals4, sss = _cell_constants(
+        n_rb, rs_power_boost_db, cell_seed
+    )
+
+    rows = np.arange(num_slots * LTE_SYMBOLS_PER_SLOT)
+    sym = rows % LTE_SYMBOLS_PER_SLOT
+    sync_slot = np.isin(rows // LTE_SYMBOLS_PER_SLOT % LTE_SLOTS_PER_FRAME, (0, 10))
+    # PSS and SSS rows carry no data; the reference signals overwrite the
+    # data of symbols 0 and 4, so they are written after it.
+    placed = (
+        (rows[sync_slot & (sym == 6)], sync_bins, _pss_sequence()),
+        (rows[sync_slot & (sym == 5)], sync_bins, sss),
+        (rows[sym == 0], data_bins[rs_cols0], rs_vals0),
+        (rows[sym == 4], data_bins[rs_cols4], rs_vals4),
+    )
+    fixed = np.concatenate([(r[:, None] * fft_size + b).ravel() for r, b, _ in placed])
+    values = np.concatenate([np.tile(v, r.size) for r, _, v in placed])
+    layout = (rows[~(sync_slot & (sym >= 5))], data_bins, fixed, values)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def synth_lte(cfg: LteSynthConfig) -> IqBuffer:
@@ -303,20 +343,9 @@ def synth_lte(cfg: LteSynthConfig) -> IqBuffer:
     """
     rng = np.random.default_rng(cfg.seed)
     nsc = 12 * cfg.n_rb
-    half = nsc // 2
-    # Used subcarriers straddle DC, which itself stays empty.
-    data_bins = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)]) % cfg.fft_size
-    sync_bins = np.concatenate([np.arange(-31, 0), np.arange(1, 32)]) % cfg.fft_size
-
-    rs_cols0, rs_vals0, rs_cols4, rs_vals4, sss = _cell_constants(cfg)
-    pss = _pss_sequence()
-
-    rows = np.arange(cfg.num_slots * LTE_SYMBOLS_PER_SLOT)
-    sym = rows % LTE_SYMBOLS_PER_SLOT
-    sync_slot = np.isin(rows // LTE_SYMBOLS_PER_SLOT % LTE_SLOTS_PER_FRAME, (0, 10))
-    pss_rows = rows[sync_slot & (sym == 6)]
-    sss_rows = rows[sync_slot & (sym == 5)]
-    data_rows = rows[~(sync_slot & (sym >= 5))]
+    data_rows, data_bins, fixed, fixed_values = _lte_layout(
+        cfg.num_slots, cfg.n_rb, cfg.fft_size, cfg.rs_power_boost_db, cfg.cell_seed
+    )
 
     # Each data row, in row order, draws nsc integers(0, 4) and then, when
     # data_occupancy < 1, nsc random() doubles. The integers take one 32-bit
@@ -336,13 +365,9 @@ def synth_lte(cfg: LteSynthConfig) -> IqBuffer:
         first_empty = np.uint64(math.ceil(cfg.data_occupancy * 2.0**53) << 11)
         qpsk_index |= (words[:, nsc // 2 :] >= first_empty).view(np.uint8) << 2
 
-    grid = np.zeros((rows.size, cfg.fft_size), dtype=np.complex128)
-    grid[np.ix_(pss_rows, sync_bins)] = pss
-    grid[np.ix_(sss_rows, sync_bins)] = sss
-    grid[np.ix_(data_rows, data_bins)] = _QPSK_OR_EMPTY[qpsk_index]
-    # Reference signals overwrite the data of symbols 0 and 4.
-    grid[np.ix_(rows[sym == 0], data_bins[rs_cols0])] = rs_vals0
-    grid[np.ix_(rows[sym == 4], data_bins[rs_cols4])] = rs_vals4
+    grid = np.zeros((cfg.num_slots * LTE_SYMBOLS_PER_SLOT, cfg.fft_size), dtype=np.complex128)
+    grid[data_rows[:, None], data_bins] = _QPSK_OR_EMPTY[qpsk_index]
+    grid.reshape(-1)[fixed] = fixed_values
 
     bodies = np.fft.ifft(grid, axis=1, out=grid)
 

@@ -1,5 +1,7 @@
 """CCF estimator tests: exactness identities, grid equivalence, peak readout."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -205,18 +207,35 @@ def test_phasor_cache_hands_out_fresh_arrays():
     assert _phasor_table.cache_info().maxsize == 16
 
 
-@pytest.mark.parametrize("m", [5000, 1 << 14, 40_000])
-def test_in_place_product_keeps_the_cached_table(m):
-    # estimate_ccf multiplies the lag product into the array unit_phasors
-    # returns, which must never be the cached table itself.
+def exact_phasors(alpha_ts, m):
+    """exp(-j 2 pi alpha_ts n) for n = 0..m-1, with alpha_ts * n reduced mod 1
+    in exact integer arithmetic and rounded once."""
+    num, den = float(alpha_ts).as_integer_ratio()
+    cycles = np.array([num * n % den / den for n in range(m)])
+    return np.exp(-2j * np.pi * cycles)
+
+
+@pytest.mark.parametrize("m", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 40_000, 96_000])
+def test_blocked_sum_matches_exact_sum(m):
+    # The blocked estimate against correctly rounded sums of lag * phasor.
+    # Any summation order errs by a few eps * sum|lag| / M, so that sum, not
+    # the value, scales the bound: the transform may cancel. The table rounds
+    # the angle alpha_ts * n of each entry, an error that grows with
+    # alpha_ts * 2**14; at this slot-rate-like alpha_ts it fits the bound.
     r = synth_noise(m, 1.0, seed=4, sample_rate_hz=1e6)
     alpha_hz = 1733.3
     alpha_ts = alpha_hz * r.sampling_period_s
+    phasors = exact_phasors(alpha_ts, m)
     s = r.samples
     for tau in (0, 3):
+        if tau >= m:
+            continue
         lag = s[: m - tau] * np.conj(s[tau:]) if tau else np.abs(s) ** 2
-        expected = complex(np.sum(lag * unit_phasors(alpha_ts, lag.size)) / m)
-        assert estimate_ccf(r, alpha_hz, tau).value == expected
+        terms = lag * phasors[: lag.size]
+        exact = complex(math.fsum(terms.real), math.fsum(terms.imag)) / m
+        bound = 4 * np.finfo(np.float64).eps * math.fsum(np.abs(lag)) / m
+        assert abs(estimate_ccf(r, alpha_hz, tau).value - exact) <= bound
+        # The estimator only reads the cached table.
         np.testing.assert_array_equal(
             _phasor_table(alpha_ts), np.exp(-2j * np.pi * alpha_ts * np.arange(1 << 14))
         )

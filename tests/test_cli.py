@@ -18,6 +18,7 @@ from cyclodet import (
     save_iq,
 )
 from cyclodet.cli import build_parser, main
+from cyclodet.iq_io import _READ_CHUNK
 
 
 def run(argv):
@@ -316,6 +317,21 @@ def test_bad_samples_exit_code(tmp_path, capsys, bad):
     else:
         samples[1234] = float(bad)
     data = tmp_path / "bad.iq"
+    samples.tofile(data)
+    IqFileMeta(sample_rate_hz=1e6, sample_count=samples.size).write(f"{data}.meta")
+    assert run(["classify", "--in", str(data)]) == 3
+    assert str(data) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan-last", "zeros"])
+def test_bad_samples_past_the_first_read_chunk_exit_code(tmp_path, capsys, bad):
+    # Longer than one read chunk of load_iq: a NaN only in the last chunk,
+    # or zeros throughout.
+    samples = np.zeros(3 * _READ_CHUNK // 2, dtype="<c8")
+    if bad == "nan-last":
+        samples[:] = 1.0
+        samples[-1] = complex(1.0, np.nan)
+    data = tmp_path / "long.iq"
     samples.tofile(data)
     IqFileMeta(sample_rate_hz=1e6, sample_count=samples.size).write(f"{data}.meta")
     assert run(["classify", "--in", str(data)]) == 3

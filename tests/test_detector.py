@@ -29,7 +29,7 @@ from cyclodet import (
     threshold,
 )
 from cyclodet import detector
-from cyclodet.ccf_estimator import unit_phasors
+from cyclodet.ccf_estimator import _phasor_table, unit_phasors
 from cyclodet.detector import (
     _NULL_ALPHA_TS,
     _NULL_SEED,
@@ -39,6 +39,7 @@ from cyclodet.detector import (
     minimum_samples,
     null_statistics,
 )
+from test_ccf_estimator import exact_phasors
 
 
 # ------------------------------------------------------------- variance
@@ -351,6 +352,101 @@ def test_classify_deterministic():
     r = _lte_rx(num_slots=30)
     cfg = DetectorConfig(p_f=0.01, threshold_mode="empirical_null", empirical_null_trials=3000)
     assert classify(r, cfg) == classify(r, cfg)
+
+
+# Capture rates: GSM at four times its symbol rate, LTE at 1.92 MHz, and a
+# rate native to neither.
+_CAPTURE_RATES = (1625000 / 6 * 4, 1.92e6, 1.6e6)
+
+
+def test_classify_statistics_match_exact_sums():
+    # Each statistic against |sum (p - mean p) phi| / M from correctly rounded
+    # sums and exactly reduced phasor angles, within 1e-12 of sum|p - mean p| / M;
+    # sigma^2 is the plain mean of |r|^2, bit for bit.
+    cfg = DetectorConfig(p_f=0.01)
+    noise = synth_noise(200_000, 1.0, seed=8, sample_rate_hz=_CAPTURE_RATES[2])
+    for r in (_gsm_rx(), _lte_rx(), noise):
+        report = classify(r, cfg)
+        p = np.abs(r.samples) ** 2
+        assert report.sigma_r_sq == float(np.mean(p))
+        centered = p - math.fsum(p) / r.m_r
+        scale = math.fsum(np.abs(centered)) / r.m_r
+        for d in report.decisions:
+            phasors = exact_phasors(d.standard.fundamental_cf_float * r.sampling_period_s, r.m_r)
+            terms = centered * phasors
+            exact = abs(complex(math.fsum(terms.real), math.fsum(terms.imag))) / r.m_r
+            assert abs(d.statistic - exact) <= 1e-12 * scale
+
+
+def test_capture_rates_share_the_phasor_cache():
+    # Each profile at each rate needs its table and its block-start table:
+    # 12 tables, which the 16-entry cache holds, so a second round of the
+    # same rates builds none.
+    cfg = DetectorConfig(p_f=0.01)
+    buffers = [
+        synth_noise(40_000, 1.0, seed=k, sample_rate_hz=fs) for k, fs in enumerate(_CAPTURE_RATES)
+    ]
+    _phasor_table.cache_clear()
+    for r in buffers:
+        classify(r, cfg)
+    misses = _phasor_table.cache_info().misses
+    for r in buffers:
+        classify(IqBuffer(samples=r.samples, sample_rate_hz=r.sample_rate_hz), cfg)
+    assert _phasor_table.cache_info().misses == misses == 12
+
+
+def _decision_input(kind, snr_db, seed):
+    if kind == "noise":
+        return synth_noise(16_000, 1.0, seed=seed, sample_rate_hz=_CAPTURE_RATES[2])
+    if kind == "gsm":
+        x = synth_gsm(GsmSynthConfig(num_slots=24, seed=seed, guard_mode="gated"))
+    else:
+        x = synth_lte(LteSynthConfig(num_slots=20, seed=seed, data_occupancy=0.1))
+    return apply_channel(x, ChannelConfig(snr_db=snr_db, seed=seed + 1))
+
+
+_DECISION_INPUTS = dict(
+    kind=st.sampled_from(["gsm", "lte", "noise"]),
+    snr_db=st.floats(-15.0, 30.0),
+    seed=st.integers(0, 2**32),
+)
+
+
+def _assert_scaled_decision(r, other, gain_sq):
+    """other's decision is r's with every power scaled by gain_sq, within the
+    rounding of |r|^2 and of the sums; the labels agree where no statistic is
+    within that rounding of the threshold or of the other statistic."""
+    cfg = DetectorConfig(p_f=0.01)
+    a, b = classify(r, cfg), classify(other, cfg)
+    p = r.power
+    tol = 1e-12 * gain_sq * math.fsum(np.abs(p - math.fsum(p) / r.m_r)) / r.m_r
+    assert b.sigma_r_sq == pytest.approx(gain_sq * a.sigma_r_sq, rel=1e-13)
+    assert b.threshold == pytest.approx(gain_sq * a.threshold, rel=1e-13)
+    scaled = [gain_sq * d.statistic for d in a.decisions]
+    for d, stat in zip(b.decisions, scaled):
+        assert abs(d.statistic - stat) <= tol
+    gaps = [abs(s - gain_sq * a.threshold) for s in scaled] + [abs(scaled[0] - scaled[1])]
+    if min(gaps) > 2 * tol:
+        assert b.label == a.label
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_DECISION_INPUTS, log_gain=st.floats(-3.0, 3.0), phase=st.floats(0.0, 2 * np.pi))
+def test_decision_scales_with_power(kind, snr_db, seed, log_gain, phase):
+    # r -> c r scales sigma^2, the threshold and every statistic by |c|^2.
+    r = _decision_input(kind, snr_db, seed)
+    gain = 10.0**log_gain * np.exp(1j * phase)
+    scaled = IqBuffer(samples=gain * r.samples, sample_rate_hz=r.sample_rate_hz)
+    _assert_scaled_decision(r, scaled, abs(gain) ** 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_DECISION_INPUTS, cfo=st.floats(-0.25, 0.25), phase=st.floats(0.0, 2 * np.pi))
+def test_decision_ignores_frequency_offset(kind, snr_db, seed, cfo, phase):
+    # A carrier offset of cfo * f_s leaves |r|^2, hence the decision, unchanged.
+    r = _decision_input(kind, snr_db, seed)
+    rotated = r.samples * np.exp(1j * (2 * np.pi * cfo * np.arange(r.m_r) + phase))
+    _assert_scaled_decision(r, IqBuffer(samples=rotated, sample_rate_hz=r.sample_rate_hz), 1.0)
 
 
 # ------------------------------------------------------------- report

@@ -22,7 +22,7 @@ from cyclodet import (
     save_iq,
     synth_noise,
 )
-from cyclodet.iq_io import decimation_taps
+from cyclodet.iq_io import _READ_CHUNK, decimation_taps
 
 
 def _f32_buffer(m=257, seed=0, fs=1_083_333.3333333333):
@@ -142,6 +142,53 @@ def test_empty_capture_rejected(tmp_path):
     IqFileMeta(sample_rate_hz=1000.0, sample_count=0).write(tmp_path / "e.iq.meta")
     with pytest.raises(FormatError, match="no samples"):
         load_iq(data)
+
+
+def _write_capture(tmp_path, samples, name="chunks.iq"):
+    data = tmp_path / name
+    np.asarray(samples, dtype="<c8").tofile(data)
+    IqFileMeta(sample_rate_hz=1e6, sample_count=len(samples)).write(f"{data}.meta")
+    return data
+
+
+_LONG = 2 * _READ_CHUNK + 1234  # two whole chunks and a partial last one
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [_LONG - 1, 2 * _READ_CHUNK, _READ_CHUNK - 1])
+def test_non_finite_sample_in_any_chunk_is_refused(tmp_path, bad, where):
+    samples = np.ones(_LONG, dtype=np.complex64)
+    samples.imag[where] = bad
+    data = _write_capture(tmp_path, samples)
+    with pytest.raises(FormatError, match=f"{data}: capture holds non-finite"):
+        load_iq(data)
+
+
+def test_all_zero_capture_longer_than_a_chunk_is_refused(tmp_path):
+    data = _write_capture(tmp_path, np.zeros(_LONG))
+    with pytest.raises(FormatError, match=f"{data}: capture holds only zero"):
+        load_iq(data)
+    # One nonzero sample in the first or the last chunk is enough; -0.0 is zero.
+    for where in (0, _LONG - 1):
+        samples = np.full(_LONG, -0.0 - 0.0j, dtype=np.complex64)
+        samples[where] = 1e-45j  # rounds to the smallest float32 subnormal
+        loaded = load_iq(_write_capture(tmp_path, samples, "one.iq")).samples
+        assert loaded[where] == samples[where] != 0
+
+
+@pytest.mark.parametrize("m", [1, _READ_CHUNK, _LONG])
+def test_chunked_read_equals_whole_file_read(tmp_path, m):
+    rng = np.random.default_rng(m)
+    floats = rng.standard_normal(2 * m).astype(np.float32)
+    floats[::7] = -0.0
+    floats[3::11] = np.float32(1e-45) * rng.integers(-3, 4, floats[3::11].size)
+    floats[0] = 1.0  # not all zero
+    data = tmp_path / "w.iq"
+    floats.astype("<f4").tofile(data)
+    IqFileMeta(sample_rate_hz=1e6).write(f"{data}.meta")
+    loaded = load_iq(data).samples
+    expected = np.fromfile(data, "<c8").astype(np.complex128)
+    assert loaded.dtype == expected.dtype and loaded.tobytes() == expected.tobytes()
 
 
 def test_sidecar_keeps_twelve_significant_digits(tmp_path):

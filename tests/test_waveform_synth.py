@@ -98,7 +98,9 @@ def _synth_lte_loop(cfg):
     half = nsc // 2
     data_bins = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)]) % cfg.fft_size
     sync_bins = np.concatenate([np.arange(-31, 0), np.arange(1, 32)]) % cfg.fft_size
-    rs_cols0, rs_vals0, rs_cols4, rs_vals4, sss = _cell_constants(cfg)
+    rs_cols0, rs_vals0, rs_cols4, rs_vals4, sss = _cell_constants(
+        cfg.n_rb, cfg.rs_power_boost_db, cfg.cell_seed
+    )
     pss = _pss_sequence()
 
     grid = np.zeros((cfg.num_slots * LTE_SYMBOLS_PER_SLOT, cfg.fft_size), dtype=np.complex128)
@@ -222,6 +224,23 @@ def test_gsm_gated_guard_drops_power():
     burst_core = (rel >= 5.0) & (rel < 145.0)
     assert np.max(np.abs(buf.samples[guard_core])) < 1e-12
     assert np.min(np.abs(buf.samples[burst_core])) > 0.5
+
+
+def test_lte_layout_cache_keys_on_every_cell_field():
+    # Configs that differ in one cell field each, run twice in turn: the
+    # second round reads the cached layouts, and each must still be its own.
+    configs = [
+        LteSynthConfig(num_slots=21, seed=4, **cell)
+        for cell in (
+            {}, {"cell_seed": 9}, {"rs_power_boost_db": 0.0}, {"n_rb": 25, "fft_size": 512},
+            {"fft_size": 256},
+        )
+    ] + [LteSynthConfig(num_slots=22, seed=4)]
+    for _ in range(2):
+        for cfg in configs:
+            _assert_bit_equal(synth_lte(cfg).samples, _synth_lte_loop(cfg))
+    layout = waveform_synth._lte_layout(21, 6, 128, 2.5, 1)
+    assert not any(array.flags.writeable for array in layout)
 
 
 @pytest.mark.parametrize(
