@@ -97,15 +97,17 @@ def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
         d = int(rng.integers(0, cfg.timing_offset_slot_samples))
 
     # The delayed FIR as a shift-add, y[k:] += h_p x[:m - k] with k = p + d,
-    # for each tap that reaches into the buffer. It runs in blocks so that the
-    # product temporaries stay small. The sums run in tap order, so they round
-    # differently from np.convolve's, by at most a few eps of
-    # sum_p |h_p| |x(m - p - d)| per sample.
+    # for each tap that reaches into the buffer. It runs in blocks, each
+    # product going into one reused block buffer, so no temporary is made.
+    # The sums run in tap order, so they round differently from
+    # np.convolve's, by at most a few eps of sum_p |h_p| |x(m - p - d)| per
+    # sample.
     y = np.zeros(m, dtype=np.complex128)
+    block = np.empty(min(m, _FIR_BLOCK), dtype=np.complex128)
     for k, h in enumerate(taps[: m - d], start=d):
         for lo in range(k, m, _FIR_BLOCK):
             hi = min(lo + _FIR_BLOCK, m)
-            y[lo:hi] += h * x.samples[lo - k : hi - k]
+            y[lo:hi] += np.multiply(h, x.samples[lo - k : hi - k], out=block[: hi - lo])
 
     if cfg.cfo_hz != 0.0:
         t = np.arange(m) / x.sample_rate_hz
@@ -116,7 +118,12 @@ def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
         y = np.multiply(y, rot, out=rot)
 
     if np.isfinite(cfg.snr_db):
-        noise_power = np.mean(np.abs(y) ** 2) / 10.0 ** (cfg.snr_db / 10.0)
-        y += complex_normal(rng, m, noise_power)
+        # One float buffer holds |y|^2, then each part of the noise in turn:
+        # the draws and values are complex_normal's, without its temporaries.
+        noise = np.abs(y, out=np.empty(m))
+        noise_power = np.mean(np.square(noise, out=noise)) / 10.0 ** (cfg.snr_db / 10.0)
+        scale = np.sqrt(noise_power / 2.0)
+        for part in (y.real, y.imag):
+            part += np.multiply(rng.standard_normal(out=noise), scale, out=noise)
 
     return IqBuffer(samples=y, sample_rate_hz=x.sample_rate_hz, center_freq_hz=x.center_freq_hz)

@@ -96,15 +96,19 @@ def detection_statistic(
     return abs(est.value - leak)
 
 
-def centered_power_statistic(power: np.ndarray, phasors: np.ndarray) -> np.ndarray:
+def centered_power_statistic(
+    power: np.ndarray, phasors: np.ndarray, overwrite: bool = False
+) -> np.ndarray:
     """|sum_m (p(m) - mean p) phasors(m)| / M for a record p or each row of a batch.
 
     With p = |r|^2 and phasors = exp(-j 2 pi alpha m T_s) this equals
     ``detection_statistic``: C_hat(alpha, 0) - sigma^2 D(alpha) is exactly the
     transform of the mean-removed power. p is real, so the transform is one
-    real product with the phasors' (M, 2) real/imaginary view.
+    real product with the phasors' (M, 2) real/imaginary view. With
+    ``overwrite`` p is centred in place instead of in a copy.
     """
-    centered = power - power.mean(axis=-1, keepdims=True)
+    mean = power.mean(axis=-1, keepdims=True)
+    centered = np.subtract(power, mean, out=power if overwrite else None)
     parts = phasors.view(np.float64).reshape(-1, 2)
     re, im = parts.T @ centered.T
     return np.hypot(re, im) / power.shape[-1]
@@ -116,15 +120,17 @@ def null_statistics(
     """Statistic at alpha_ts = alpha * T_s and mean power of each of n noise-only
     records of length m_r. Under H0 |r(m)|^2 is exactly noise_power * Exp(1), so
     a batch of records is the rows of one exponential draw, filled in order (the
-    records do not depend on the batch size); both outputs are linear in p."""
+    records do not depend on the batch size); both outputs are linear in p.
+    Every batch is drawn into, and centred in, one reused buffer."""
     phasors = unit_phasors(alpha_ts, m_r)
-    rows = max(1, _NULL_BATCH_SAMPLES // m_r)
+    rows = min(n, max(1, _NULL_BATCH_SAMPLES // m_r))
+    draws = np.empty((rows, m_r))
     stats, powers = np.empty(n), np.empty(n)
     for start in range(0, n, rows):
-        power = rng.standard_exponential((min(rows, n - start), m_r))
+        power = rng.standard_exponential(out=draws[: min(rows, n - start)])
         batch = slice(start, start + power.shape[0])
-        stats[batch] = centered_power_statistic(power, phasors)
         powers[batch] = power.mean(axis=1)
+        stats[batch] = centered_power_statistic(power, phasors, overwrite=True)
     return stats * noise_power, powers * noise_power
 
 

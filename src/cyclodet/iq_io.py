@@ -6,7 +6,9 @@ least ``sample_rate_hz``. Widely convertible from SDR capture tools.
 
 Decimation is a Kaiser windowed-sinc low-pass evaluated only at the samples
 it keeps: overlap-save blocks whose spectra are folded to the output rate
-before the inverse transform, run in batches of bounded size.
+before the inverse transform, run in batches of bounded size. The taps are
+designed in closed form (Kaiser's formulas) and the transforms are
+``numpy.fft``, so the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
-from scipy.signal import firwin, kaiserord
 
 from .errors import FormatError, UnsupportedFormatError
 from .signal_model import IqBuffer
@@ -172,11 +172,35 @@ def decimation_taps(factor: int) -> np.ndarray:
     Cutoff at 0.8 * (Nyquist / factor) with the transition closing before the
     output Nyquist, >= 60 dB stopband (designed at 70), odd length for an
     integer group delay.
+
+    Kaiser's design formulas for attenuation A > 50 dB and a transition
+    width given as a fraction of Nyquist: beta = 0.1102 (A - 8.7) and
+    N = ceil((A - 7.95) / (2.285 pi width) + 1) taps, made odd. The ideal
+    low-pass is windowed and scaled to unit gain at DC.
     """
-    numtaps, beta = kaiserord(_STOPBAND_DB, width=0.2 / factor)
-    if numtaps % 2 == 0:
-        numtaps += 1
-    return firwin(numtaps, cutoff=0.8 / factor, window=("kaiser", beta))
+    width = 0.2 / factor
+    beta = 0.1102 * (_STOPBAND_DB - 8.7)
+    numtaps = math.ceil((_STOPBAND_DB - 7.95) / 2.285 / (math.pi * width) + 1)
+    numtaps += 1 - numtaps % 2
+    cutoff = 0.8 / factor
+    taps = cutoff * np.sinc(cutoff * (np.arange(numtaps) - (numtaps - 1) / 2))
+    taps *= np.kaiser(numtaps, beta)
+    return taps / taps.sum()
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 2-, 3-, 5-, 7- and 11-smooth integer >= n: the lengths that
+    pocketfft transforms fastest."""
+    best = 1 << (n - 1).bit_length()
+    odd = [1]  # every product of powers of 3, 5, 7 and 11 up to best
+    for radix in (3, 5, 7, 11):
+        grown = []
+        for q in odd:
+            while q <= best:
+                grown.append(q)
+                q *= radix
+        odd = grown
+    return min(q << (-(-n // q) - 1).bit_length() for q in odd)
 
 
 _BLOCK_PER_TAP = 4  # overlap-save block length, in filter lengths
@@ -213,10 +237,10 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
     delay = (taps.size - 1) // 2
     taps = np.concatenate((np.zeros(-(taps.size - 1) % factor), taps))
     overlap = taps.size - 1  # a multiple of factor
-    sub = sp_fft.next_fast_len(-(-_BLOCK_PER_TAP * taps.size // factor))
+    sub = _next_fast_len(-(-_BLOCK_PER_TAP * taps.size // factor))
     n = sub * factor
     hop = n - overlap  # input samples per block, factor times its kept outputs
-    spectrum = sp_fft.fft(taps, n)
+    spectrum = np.fft.fft(taps, n)
 
     x = buf.samples
     out = np.empty(-(-x.size // factor), dtype=np.complex128)
@@ -236,11 +260,11 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
         seg[stop - lo : size] = 0
         spec = frames[:blocks]
         np.copyto(spec, sliding_window_view(seg[:size], n)[::hop])
-        spec = sp_fft.fft(spec, axis=-1, overwrite_x=True)
+        np.fft.fft(spec, axis=-1, out=spec)
         spec *= spectrum
         fold = spec.reshape(blocks, factor, sub).sum(axis=1, out=folded[:blocks])
         fold /= factor
-        kept = sp_fft.ifft(fold, axis=-1, overwrite_x=True)[:, overlap // factor :]
+        kept = np.fft.ifft(fold, axis=-1, out=fold)[:, overlap // factor :]
         count = min(kept.size, out.size - first)
         out[first : first + count] = kept.reshape(-1)[:count]
     return IqBuffer(

@@ -1,5 +1,7 @@
 """Channel model tests: PDP normalization, SNR bookkeeping, offsets, CFO."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +225,24 @@ def test_draws_match_hand_written_references(seed):
                 np.testing.assert_array_equal(
                     apply_channel(x, ch).samples, _apply_channel_reference(x, ch)
                 )
+
+
+@pytest.mark.parametrize("m", [1, 16_383, 16_384, 40_000])
+@pytest.mark.parametrize("cfo_hz", [0.0, 150.0])
+def test_noise_equals_one_complex_normal_draw(m, cfo_hz):
+    # The noise is drawn a part at a time into one reused float buffer; it
+    # must equal adding one complex_normal draw to the faded signal, bit for bit.
+    x = synth_noise(m, 1.0, seed=m, sample_rate_hz=1e6)
+    for snr_db, offset in ((-3.0, None), (10.0, min(m, 625))):
+        cfg = ChannelConfig(snr_db=snr_db, num_taps=4, seed=m + 7, cfo_hz=cfo_hz,
+                            timing_offset_slot_samples=offset)
+        expected = _apply_channel_reference(x, replace(cfg, snr_db=np.inf))
+        rng = np.random.default_rng(cfg.seed)
+        draw_taps(cfg, rng)
+        if offset is not None:
+            rng.integers(0, offset)
+        expected += complex_normal(rng, m, np.mean(np.abs(expected) ** 2) / 10.0 ** (snr_db / 10.0))
+        np.testing.assert_array_equal(apply_channel(x, cfg).samples, expected)
 
 
 @pytest.mark.parametrize("m", [16_383, 16_384])

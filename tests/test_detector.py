@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,20 @@ def test_null_statistics_do_not_depend_on_batching(monkeypatch, m_r):
     small_stats, small_powers = null_statistics(np.random.default_rng(5), 300, *args)
     np.testing.assert_allclose(small_stats, stats, rtol=1e-12)
     np.testing.assert_array_equal(small_powers, powers)
+
+
+def test_null_statistics_centre_each_batch_in_its_draw_buffer():
+    # Every batch is drawn into one reused buffer and centred there; a
+    # centred copy of a batch would double the peak.
+    n, m_r = 2000, 1500
+    batch_bytes = (detector._NULL_BATCH_SAMPLES // m_r) * m_r * 8
+    tracemalloc.start()
+    try:
+        null_statistics(np.random.default_rng(3), n, m_r, 0.37, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * batch_bytes
 
 
 def test_null_statistics_follow_the_complex_gaussian_law():

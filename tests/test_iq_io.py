@@ -1,5 +1,8 @@
 """IQ file round trips, sidecar parsing, and decimation filter behavior."""
 
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.fft import next_fast_len
 from scipy.signal import firwin, kaiserord
 
 from cyclodet import (
@@ -22,7 +26,8 @@ from cyclodet import (
     save_iq,
     synth_noise,
 )
-from cyclodet.iq_io import _READ_CHUNK, decimation_taps
+import cyclodet
+from cyclodet.iq_io import _READ_CHUNK, _next_fast_len, decimation_taps
 
 
 def _f32_buffer(m=257, seed=0, fs=1_083_333.3333333333):
@@ -232,6 +237,33 @@ def test_decimation_filter_design_margins():
         # stopband from the output Nyquist on: >= 60 dB down
         stopband = response[freqs >= 0.5 / factor]
         assert 20 * np.log10(np.max(stopband)) < -60.0
+
+
+def test_closed_form_taps_equal_scipy_design():
+    # decimation_taps writes out Kaiser's formulas; scipy's kaiserord/firwin
+    # implement the same design, so only the Bessel I0 rounding may differ.
+    for factor in range(2, 65):
+        numtaps, beta = kaiserord(70.0, width=0.2 / factor)
+        numtaps += 1 - numtaps % 2
+        ref = firwin(numtaps, cutoff=0.8 / factor, window=("kaiser", beta))
+        taps = decimation_taps(factor)
+        assert taps.size == ref.size
+        assert np.all(np.abs(taps - ref) <= 1e-15 * np.abs(ref))
+
+
+def test_next_fast_len_equals_scipy():
+    for n in [*range(1, 5001), 10**6 + 1, 2**31 + 1, 3**20 + 1, 10**9 + 7, 2**40 - 1]:
+        assert _next_fast_len(n) == next_fast_len(n), n
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only: importing the package and its CLI,
+    # which reach every module, must not load it.
+    src = str(Path(cyclodet.__file__).parents[1])
+    code = "import sys, cyclodet, cyclodet.cli; print([k for k in sys.modules if k.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_decimate_tone_in_passband_amplitude():
