@@ -48,14 +48,22 @@ class ChannelConfig:
             )
 
 
+def _add_complex_normal(
+    rng: np.random.Generator, y: np.ndarray, power, scratch: np.ndarray
+) -> np.ndarray:
+    """Add circularly-symmetric complex Gaussian samples of the given power (a
+    scalar or len(y) values) to the complex array y in place: all real parts
+    are drawn first, then the imaginary, each into the float buffer scratch."""
+    scale = np.sqrt(power / 2.0)
+    for part in (y.real, y.imag):
+        part += np.multiply(rng.standard_normal(out=scratch), scale, out=scratch)
+    return y
+
+
 def complex_normal(rng: np.random.Generator, n: int, power) -> np.ndarray:
     """n circularly-symmetric complex Gaussian samples of the given power (a
     scalar or n values): the n real parts are drawn first, then the imaginary."""
-    out = np.empty(n, np.complex128)
-    out.real = rng.standard_normal(n)
-    out.imag = rng.standard_normal(n)
-    out *= np.sqrt(power / 2.0)
-    return out
+    return _add_complex_normal(rng, np.zeros(n, np.complex128), power, np.empty(n))
 
 
 def pdp_tap_variances(num_taps: int, pdp_decay: float = 5.0) -> np.ndarray:
@@ -118,12 +126,9 @@ def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
         y = np.multiply(y, rot, out=rot)
 
     if np.isfinite(cfg.snr_db):
-        # One float buffer holds |y|^2, then each part of the noise in turn:
-        # the draws and values are complex_normal's, without its temporaries.
-        noise = np.abs(y, out=np.empty(m))
-        noise_power = np.mean(np.square(noise, out=noise)) / 10.0 ** (cfg.snr_db / 10.0)
-        scale = np.sqrt(noise_power / 2.0)
-        for part in (y.real, y.imag):
-            part += np.multiply(rng.standard_normal(out=noise), scale, out=noise)
+        # One float buffer holds |y|^2, then each part of the noise in turn.
+        scratch = np.abs(y, out=np.empty(m))
+        noise_power = np.mean(np.square(scratch, out=scratch)) / 10.0 ** (cfg.snr_db / 10.0)
+        _add_complex_normal(rng, y, noise_power, scratch)
 
     return IqBuffer(samples=y, sample_rate_hz=x.sample_rate_hz, center_freq_hz=x.center_freq_hz)

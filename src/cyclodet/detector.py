@@ -96,21 +96,18 @@ def detection_statistic(
     return abs(est.value - leak)
 
 
-def centered_power_statistic(
-    power: np.ndarray, phasors: np.ndarray, overwrite: bool = False
-) -> np.ndarray:
+def centered_power_statistic(power: np.ndarray, phasors: np.ndarray) -> np.ndarray:
     """|sum_m (p(m) - mean p) phasors(m)| / M for a record p or each row of a batch.
 
     With p = |r|^2 and phasors = exp(-j 2 pi alpha m T_s) this equals
     ``detection_statistic``: C_hat(alpha, 0) - sigma^2 D(alpha) is exactly the
     transform of the mean-removed power. p is real, so the transform is one
-    real product with the phasors' (M, 2) real/imaginary view. With
-    ``overwrite`` p is centred in place instead of in a copy.
+    real product with the phasors' (M, 2) real/imaginary view. p is consumed:
+    it is centred in place, so callers that need it afterwards pass a copy.
     """
-    mean = power.mean(axis=-1, keepdims=True)
-    centered = np.subtract(power, mean, out=power if overwrite else None)
+    np.subtract(power, power.mean(axis=-1, keepdims=True), out=power)
     parts = phasors.view(np.float64).reshape(-1, 2)
-    re, im = parts.T @ centered.T
+    re, im = parts.T @ power.T
     return np.hypot(re, im) / power.shape[-1]
 
 
@@ -130,7 +127,7 @@ def null_statistics(
         power = rng.standard_exponential(out=draws[: min(rows, n - start)])
         batch = slice(start, start + power.shape[0])
         powers[batch] = power.mean(axis=1)
-        stats[batch] = centered_power_statistic(power, phasors, overwrite=True)
+        stats[batch] = centered_power_statistic(power, phasors)
     return stats * noise_power, powers * noise_power
 
 

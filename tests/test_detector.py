@@ -173,7 +173,7 @@ def test_centered_power_statistic_matches_exact_sums(seed, rows, m_r, alpha_ts):
     # the error relative to the statistic alone can exceed 1e-12.
     power = np.random.default_rng(seed).standard_exponential((rows, m_r))
     phasors = unit_phasors(alpha_ts, m_r)
-    batch = centered_power_statistic(power, phasors)
+    batch = centered_power_statistic(power.copy(), phasors)
     for row, stat in zip(power, batch):
         centered = row - math.fsum(row) / m_r
         re = math.fsum(centered * phasors.real)
@@ -270,7 +270,7 @@ def test_statistic_matches_centered_dot_product():
     alpha = 1733.0
     power = np.abs(r.samples) ** 2
     phasors = unit_phasors(alpha / 1e6, r.m_r)
-    expected = centered_power_statistic(power, phasors)
+    expected = centered_power_statistic(power.copy(), phasors)
     assert detection_statistic(r, alpha) == pytest.approx(expected, rel=1e-12)
     batch = centered_power_statistic(np.stack([power, 4.0 * power]), phasors)
     np.testing.assert_allclose(batch, [expected, 4.0 * expected], rtol=1e-12)

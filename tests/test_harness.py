@@ -289,8 +289,8 @@ def _false_alarm_loop_reference(noise_power, m_r, p_f, n_trials, mode, profile, 
     hits = 0
     for _ in range(n_trials):
         power = noise_power * rng.standard_exponential(m_r)
-        stat = centered_power_statistic(power, phasors)
-        hits += stat > float(power.mean()) * unit
+        mean = float(power.mean())
+        hits += centered_power_statistic(power, phasors) > mean * unit
     return hits / n_trials
 
 
