@@ -5,11 +5,12 @@
     C_hat(alpha, tau) = (1/M_r) * sum_m r(m) conj(r(m + tau)) exp(-j 2 pi alpha m T_s)
 
 at one exact cyclic frequency, so frequencies such as 26000/15 Hz need no grid
-tricks. The sum runs block by block: each block of 2**14 lag products is
-multiplied by one cached phasor table, and the block sums are rotated by the
-phasors of the block starts. ``ccf_spectrum`` evaluates the whole natural DFT
-grid alpha_k = k / (M_r T_s) at once for plots; the two agree on every grid
-point and that equivalence is enforced by tests.
+tricks. The sum is ``cyclic_sum``, the one kernel behind every statistic,
+the detector's noise-only batches included: each block of 2**14 lag
+products is multiplied by one cached phasor table, and the block sums are
+rotated by the phasors of the block starts. ``ccf_spectrum`` evaluates the
+whole natural DFT grid alpha_k = k / (M_r T_s) at once for plots; the two
+agree on every grid point and that equivalence is enforced by tests.
 """
 
 from __future__ import annotations
@@ -32,8 +33,11 @@ def _phasor_table(alpha_ts: float) -> np.ndarray:
 
     The table depends on alpha_ts only, so Monte Carlo trials and captures at
     the same rate share it. 16 tables of 256 KB bound the cache at 4 MB.
+    Built in place, so the table is the only array a cold build allocates.
     """
-    table = np.exp(-2j * np.pi * alpha_ts * np.arange(_PHASOR_BLOCK))
+    table = np.arange(_PHASOR_BLOCK, dtype=np.complex128)
+    table *= -2j * np.pi * alpha_ts
+    np.exp(table, out=table)
     table.flags.writeable = False
     return table
 
@@ -41,19 +45,42 @@ def _phasor_table(alpha_ts: float) -> np.ndarray:
 def unit_phasors(alpha_ts: float, m: int) -> np.ndarray:
     """exp(-j 2 pi alpha_ts n) for n = 0..m-1, as a new array.
 
-    Evaluated block-wise: one directly-exponentiated table per 2**14 samples
-    and an exactly angle-reduced carrier per block, which keeps accumulated
-    phase error below ~1e-12 rad even for multi-million-sample buffers.
+    Up to 2**14 angles are exponentiated directly. Longer arrays are built
+    block-wise from the cached table and the block-start phasors, themselves
+    unit phasors at the block rate, which keeps accumulated phase error below
+    ~1e-12 rad even for multi-million-sample buffers.
     """
     block = _PHASOR_BLOCK
-    table = _phasor_table(alpha_ts)
     if m <= block:
-        return table[:m].copy()
-    n_blocks = -(-m // block)
-    # Reduce the block-start angles mod 1 before exponentiating.
-    start_cycles = (alpha_ts * block) * np.arange(n_blocks) % 1.0
-    carriers = np.exp(-2j * np.pi * start_cycles)
-    return (carriers[:, None] * table[None, :]).ravel()[:m]
+        return np.exp(-2j * np.pi * alpha_ts * np.arange(m))
+    carriers = unit_phasors((alpha_ts * block) % 1.0, -(-m // block))
+    return (carriers[:, None] * _phasor_table(alpha_ts)[None, :]).ravel()[:m]
+
+
+def cyclic_sum(lag: np.ndarray, alpha_ts: float) -> complex | np.ndarray:
+    """sum_m lag(m) exp(-j 2 pi alpha_ts m) along the last axis: one sum for
+    a record, one per row for a batch of records.
+
+    The phasor at sample b * 2**14 + i factors into the block-start phasor
+    exp(-j 2 pi alpha_ts 2**14 b) times the cached table entry i, so each
+    block is summed against the table and the block sums are dotted with the
+    block-start phasors. A real lag takes one real product with the table's
+    (2**14, 2) view; no phasor array as long as the record is built.
+    """
+    block = _PHASOR_BLOCK
+    n_full, tail = divmod(lag.shape[-1], block)
+    n_blocks = n_full + (tail > 0)
+    table = _phasor_table(alpha_ts)
+    sums = np.empty(lag.shape[:-1] + (n_blocks,), dtype=np.complex128)
+    kernel, out = table[:, None], sums[..., None]
+    if np.isrealobj(lag):
+        kernel = table.view(np.float64).reshape(block, 2)
+        out = sums.view(np.float64).reshape(sums.shape + (2,))
+    full = lag[..., : n_full * block].reshape(lag.shape[:-1] + (n_full, block))
+    np.matmul(full, kernel, out=out[..., :n_full, :])
+    if tail:
+        np.matmul(lag[..., None, n_full * block :], kernel[:tail], out=out[..., n_full:, :])
+    return sums @ unit_phasors((alpha_ts * block) % 1.0, n_blocks)
 
 
 def _lag_product(r: IqBuffer, tau_samples: int) -> np.ndarray:
@@ -71,30 +98,10 @@ def estimate_ccf(r: IqBuffer, alpha_hz: float, tau_samples: int = 0) -> CcfEstim
 
     The lag product is truncated at the buffer end while the normalization
     stays 1/M_r; at tau = 0 (the detector's operating point) the sum is exact.
-
-    The phasor at sample b * 2**14 + i factors into the block-start phasor
-    exp(-j 2 pi alpha_ts 2**14 b) times the cached table entry i, so each
-    block is summed against the table and the block sums are dotted with the
-    block-start phasors, themselves unit phasors at the block rate. A real lag
-    (tau = 0) takes one real product with the table's (2**14, 2) view; no
-    phasor array as long as the buffer is built.
     """
     lag = _lag_product(r, tau_samples)
-    alpha_ts = alpha_hz * r.sampling_period_s
-    block = _PHASOR_BLOCK
-    n_full, tail = divmod(lag.size, block)
-    n_blocks = n_full + (tail > 0)
-    table = _phasor_table(alpha_ts)
-    sums = np.empty(n_blocks, dtype=np.complex128)
-    kernel, out = table, sums
-    if np.isrealobj(lag):
-        kernel = table.view(np.float64).reshape(block, 2)
-        out = sums.view(np.float64).reshape(n_blocks, 2)
-    np.matmul(lag[: n_full * block].reshape(n_full, block), kernel, out=out[:n_full])
-    if tail:
-        np.matmul(lag[n_full * block :][None, :], kernel[:tail], out=out[n_full:])
-    carriers = unit_phasors((alpha_ts * block) % 1.0, n_blocks)
-    return CcfEstimate(value=complex(sums @ carriers / r.m_r), m_r=r.m_r)
+    value = cyclic_sum(lag, alpha_hz * r.sampling_period_s) / r.m_r
+    return CcfEstimate(value=complex(value), m_r=r.m_r)
 
 
 @dataclass(frozen=True)

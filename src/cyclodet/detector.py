@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ccf_estimator import estimate_ccf, unit_phasors
+from .ccf_estimator import cyclic_sum, estimate_ccf
 from .errors import ConfigurationError
 from .signal_model import IqBuffer, Standard
 
@@ -96,21 +96,6 @@ def detection_statistic(
     return abs(est.value - leak)
 
 
-def centered_power_statistic(power: np.ndarray, phasors: np.ndarray) -> np.ndarray:
-    """|sum_m (p(m) - mean p) phasors(m)| / M for a record p or each row of a batch.
-
-    With p = |r|^2 and phasors = exp(-j 2 pi alpha m T_s) this equals
-    ``detection_statistic``: C_hat(alpha, 0) - sigma^2 D(alpha) is exactly the
-    transform of the mean-removed power. p is real, so the transform is one
-    real product with the phasors' (M, 2) real/imaginary view. p is consumed:
-    it is centred in place, so callers that need it afterwards pass a copy.
-    """
-    np.subtract(power, power.mean(axis=-1, keepdims=True), out=power)
-    parts = phasors.view(np.float64).reshape(-1, 2)
-    re, im = parts.T @ power.T
-    return np.hypot(re, im) / power.shape[-1]
-
-
 def null_statistics(
     rng: np.random.Generator, n: int, m_r: int, alpha_ts: float, noise_power: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +103,10 @@ def null_statistics(
     records of length m_r. Under H0 |r(m)|^2 is exactly noise_power * Exp(1), so
     a batch of records is the rows of one exponential draw, filled in order (the
     records do not depend on the batch size); both outputs are linear in p.
-    Every batch is drawn into, and centred in, one reused buffer."""
-    phasors = unit_phasors(alpha_ts, m_r)
+    Every batch is drawn into one reused buffer; each row's statistic is its
+    ``cyclic_sum``, the blocked sum behind ``estimate_ccf``, less the mean-power
+    leakage that ``detection_statistic`` removes."""
+    leak = mean_power_leakage(alpha_ts, 1.0, m_r)
     rows = min(n, max(1, _NULL_BATCH_SAMPLES // m_r))
     draws = np.empty((rows, m_r))
     stats, powers = np.empty(n), np.empty(n)
@@ -127,7 +114,7 @@ def null_statistics(
         power = rng.standard_exponential(out=draws[: min(rows, n - start)])
         batch = slice(start, start + power.shape[0])
         powers[batch] = power.mean(axis=1)
-        stats[batch] = centered_power_statistic(power, phasors)
+        stats[batch] = np.abs(cyclic_sum(power, alpha_ts) / m_r - powers[batch] * leak)
     return stats * noise_power, powers * noise_power
 
 

@@ -15,7 +15,7 @@ from cyclodet import (
     spectrum_to_csv,
     synth_noise,
 )
-from cyclodet.ccf_estimator import _phasor_table, unit_phasors
+from cyclodet.ccf_estimator import _phasor_table, cyclic_sum, unit_phasors
 
 
 def _buf(samples, fs=1.0):
@@ -180,9 +180,7 @@ def _unit_phasors_uncached(alpha_ts, m):
     table = np.exp(-2j * np.pi * alpha_ts * np.arange(min(block, m)))
     if m <= block:
         return table
-    n_blocks = -(-m // block)
-    start_cycles = (alpha_ts * block) * np.arange(n_blocks) % 1.0
-    carriers = np.exp(-2j * np.pi * start_cycles)
+    carriers = _unit_phasors_uncached((alpha_ts * block) % 1.0, -(-m // block))
     return (carriers[:, None] * table[None, :]).ravel()[:m]
 
 
@@ -213,6 +211,26 @@ def exact_phasors(alpha_ts, m):
     num, den = float(alpha_ts).as_integer_ratio()
     cycles = np.array([num * n % den / den for n in range(m)])
     return np.exp(-2j * np.pi * cycles)
+
+
+@pytest.mark.parametrize("m", [(1 << 14) + 1, 96_000])
+def test_long_phasors_match_exact_angles(m):
+    # Block-start phasors are unit phasors at the block rate, so the error is
+    # the rounding of one block's angles, alpha_ts * n for n < 2**14, and does
+    # not grow with m.
+    eps = np.finfo(np.float64).eps
+    for alpha_ts in (26000 / 15 / (1625000 / 6 * 4), 0.0731, 0.999):
+        err = np.max(np.abs(unit_phasors(alpha_ts, m) - exact_phasors(alpha_ts, m)))
+        assert err <= 4 * np.pi * eps * (alpha_ts * (1 << 14) + -(-m // (1 << 14)))
+
+
+@pytest.mark.parametrize("m", [100, 1 << 14, 40_000])
+def test_cyclic_sum_of_a_batch_is_the_sums_of_its_rows(m):
+    rng = np.random.default_rng(m)
+    real = rng.standard_exponential((3, m))
+    for batch in (real, real * np.exp(2j * np.pi * rng.random((3, m)))):
+        rows = [cyclic_sum(row, 0.0731) for row in batch]
+        np.testing.assert_allclose(cyclic_sum(batch, 0.0731), rows, rtol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 40_000, 96_000])

@@ -30,13 +30,12 @@ from cyclodet import (
     threshold,
 )
 from cyclodet import detector
-from cyclodet.ccf_estimator import _phasor_table, unit_phasors
+from cyclodet.ccf_estimator import _phasor_table, cyclic_sum, unit_phasors
 from cyclodet.detector import (
     _NULL_ALPHA_TS,
     _NULL_SEED,
     THRESHOLD_MODES,
     _unit_null_quantile,
-    centered_power_statistic,
     minimum_samples,
     null_statistics,
 )
@@ -127,8 +126,8 @@ def test_null_statistics_do_not_depend_on_batching(monkeypatch, m_r):
 
 
 def test_null_statistics_centre_each_batch_in_its_draw_buffer():
-    # Every batch is drawn into one reused buffer and centred there; a
-    # centred copy of a batch would double the peak.
+    # Every batch is drawn into one reused buffer and summed from there; a
+    # transformed copy of a batch would double the peak.
     n, m_r = 2000, 1500
     batch_bytes = (detector._NULL_BATCH_SAMPLES // m_r) * m_r * 8
     tracemalloc.start()
@@ -163,23 +162,25 @@ def test_null_statistics_follow_the_complex_gaussian_law():
 @given(
     seed=st.integers(0, 2**64 - 1),
     rows=st.integers(1, 40),
-    m_r=st.integers(2, 5000),
+    m_r=st.one_of(st.integers(2, 5000), st.integers((1 << 14) + 1, 40_000)),
     alpha_ts=st.floats(1e-3, 0.999),
 )
-def test_centered_power_statistic_matches_exact_sums(seed, rows, m_r, alpha_ts):
-    # The batched real-view product against correctly rounded per-row sums.
-    # Any summation order errs by up to m_r * eps * sum|p - mean p|, so that
-    # sum, not the statistic, scales the tolerance: when the transform cancels
-    # the error relative to the statistic alone can exceed 1e-12.
+def test_null_statistics_match_exact_sums(seed, rows, m_r, alpha_ts):
+    # Each record's statistic against |sum (p - mean p) phi| / M from correctly
+    # rounded sums and exactly reduced phasor angles. Any summation order errs
+    # by up to m_r * eps * sum|p - mean p|, so that sum, not the statistic,
+    # scales the tolerance: when the transform cancels the error relative to
+    # the statistic alone can exceed 1e-12. Records longer than 2**14 samples
+    # span several blocks, and batches of them several draws.
+    stats, _ = null_statistics(np.random.default_rng(seed), rows, m_r, alpha_ts, 1.0)
     power = np.random.default_rng(seed).standard_exponential((rows, m_r))
-    phasors = unit_phasors(alpha_ts, m_r)
-    batch = centered_power_statistic(power.copy(), phasors)
-    for row, stat in zip(power, batch):
+    phasors = exact_phasors(alpha_ts, m_r)
+    for row, stat in zip(power, stats):
         centered = row - math.fsum(row) / m_r
-        re = math.fsum(centered * phasors.real)
-        im = math.fsum(centered * phasors.imag)
+        terms = centered * phasors
+        exact = abs(complex(math.fsum(terms.real), math.fsum(terms.imag))) / m_r
         scale = math.fsum(np.abs(centered)) / m_r
-        assert abs(stat - math.hypot(re, im) / m_r) <= 1e-12 * scale
+        assert abs(stat - exact) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("mode", THRESHOLD_MODES)
@@ -264,16 +265,18 @@ def test_statistic_equals_corrected_ccf():
 
 def test_statistic_matches_centered_dot_product():
     # The leakage-corrected statistic is identical to transforming the
-    # mean-removed instantaneous power, which is what null_statistics
-    # computes, a batch of records per product.
+    # mean-removed instantaneous power; null_statistics corrects each row of
+    # a batch of records the same way.
     r = synth_noise(4096, 2.0, seed=4, sample_rate_hz=1e6)
     alpha = 1733.0
     power = np.abs(r.samples) ** 2
     phasors = unit_phasors(alpha / 1e6, r.m_r)
-    expected = centered_power_statistic(power.copy(), phasors)
+    expected = abs((power - power.mean()) @ phasors) / r.m_r
     assert detection_statistic(r, alpha) == pytest.approx(expected, rel=1e-12)
-    batch = centered_power_statistic(np.stack([power, 4.0 * power]), phasors)
-    np.testing.assert_allclose(batch, [expected, 4.0 * expected], rtol=1e-12)
+    batch = np.stack([power, 4.0 * power])
+    leak = batch.mean(axis=1) * mean_power_leakage(alpha, 1e6, r.m_r)
+    stats = np.abs(cyclic_sum(batch, alpha / 1e6) / r.m_r - leak)
+    np.testing.assert_allclose(stats, [expected, 4.0 * expected], rtol=1e-12)
 
 
 # ------------------------------------------------------------- classify
@@ -394,9 +397,9 @@ def test_classify_statistics_match_exact_sums():
 
 
 def test_capture_rates_share_the_phasor_cache():
-    # Each profile at each rate needs its table and its block-start table:
-    # 12 tables, which the 16-entry cache holds, so a second round of the
-    # same rates builds none.
+    # Each profile at each rate needs its table: 6 tables, which the 16-entry
+    # cache holds, so a second round of the same rates builds none. Block-start
+    # phasors are exponentiated directly and cache nothing.
     cfg = DetectorConfig(p_f=0.01)
     buffers = [
         synth_noise(40_000, 1.0, seed=k, sample_rate_hz=fs) for k, fs in enumerate(_CAPTURE_RATES)
@@ -407,7 +410,7 @@ def test_capture_rates_share_the_phasor_cache():
     misses = _phasor_table.cache_info().misses
     for r in buffers:
         classify(IqBuffer(samples=r.samples, sample_rate_hz=r.sample_rate_hz), cfg)
-    assert _phasor_table.cache_info().misses == misses == 12
+    assert _phasor_table.cache_info().misses == misses == 6
 
 
 def _decision_input(kind, snr_db, seed):
