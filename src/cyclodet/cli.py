@@ -16,15 +16,9 @@ import numpy as np
 
 from .ccf_estimator import ccf_spectrum, spectrum_to_csv
 from .channel_sim import ChannelConfig, apply_channel
-from .detector import THRESHOLD_MODES, DetectorConfig, classify, threshold
+from .detector import DetectorConfig, classify
 from .errors import ConfigurationError, FormatError
-from .experiment_harness import (
-    PD_VS_PF_COLUMNS,
-    PD_VS_SNR_COLUMNS,
-    SWEEP_CSV_COLUMNS,
-    SweepConfig,
-    run_detection_sweep,
-)
+from .experiment_harness import SweepConfig, run_detection_sweep
 from .iq_io import decimate, load_iq, save_iq
 from .signal_model import Standard
 from .waveform_synth import GsmSynthConfig, GUARD_MODES, LteSynthConfig, synth_gsm, synth_lte
@@ -102,7 +96,7 @@ def _cmd_ccf_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     buf = load_iq(args.infile)
-    cfg = DetectorConfig(p_f=args.pf, threshold_mode=args.mode, profiles=args.profiles.split(","))
+    cfg = DetectorConfig(p_f=args.pf, profiles=args.profiles.split(","))
     report = classify(buf, cfg)
     if args.json:
         print(report.to_json_line())
@@ -119,24 +113,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         p_f_list=_parse_float_list(args.pf),
         n_trials=args.trials,
         master_seed=args.seed,
-        threshold_mode=args.mode,
     )
-    if len(cfg.p_f_list) == 1:
-        columns = PD_VS_SNR_COLUMNS
-    elif len(cfg.observation_times_s) == 1:
-        columns = PD_VS_PF_COLUMNS
-    else:  # several times and several P_F: only the full record keeps rows distinct
-        columns = SWEEP_CSV_COLUMNS
-    run_detection_sweep(cfg).write_csv(args.out, columns)
-    return EXIT_OK
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = DetectorConfig(
-        p_f=args.pf, threshold_mode="empirical_null", empirical_null_trials=args.trials
-    )
-    gamma = threshold(cfg, sigma_r_sq=1.0, m_r=args.mr)
-    print(f"{gamma:.9g}")
+    run_detection_sweep(cfg).write_csv(args.out, cfg.csv_columns)
     return EXIT_OK
 
 
@@ -201,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="run the detector; prints the decision report")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--pf", type=float, default=1e-2)
-    p.add_argument("--mode", choices=THRESHOLD_MODES, default=DetectorConfig.threshold_mode)
     p.add_argument("--profiles", default="gsm,lte")
     p.add_argument("--json", action="store_true", help="emit a JSON record instead of CSV")
     p.set_defaults(func=_cmd_classify)
@@ -212,16 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-ms", required=True, help="comma list of observation times, ms")
     p.add_argument("--pf", default="0.01", help="comma list of false-alarm targets")
     p.add_argument("--trials", type=int, default=SweepConfig.n_trials)
-    p.add_argument("--mode", choices=THRESHOLD_MODES, default=SweepConfig.threshold_mode)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("calibrate", help="empirical null threshold for unit power")
-    p.add_argument("--mr", type=int, required=True)
-    p.add_argument("--pf", type=float, required=True)
-    p.add_argument("--trials", type=int, default=DetectorConfig.empirical_null_trials)
-    p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("decimate", help="anti-aliased sample-rate reduction")
     p.add_argument("--in", dest="infile", required=True)

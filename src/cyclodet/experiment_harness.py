@@ -60,7 +60,6 @@ class SweepConfig:
     p_f_list: tuple[float, ...] = (1e-2,)
     n_trials: int = 1000
     master_seed: int = 0
-    threshold_mode: str = DetectorConfig.threshold_mode
 
     def __post_init__(self) -> None:
         # Trials compare the label with the enum by identity.
@@ -73,7 +72,7 @@ class SweepConfig:
         # P_F anywhere in the lists fails before any trial runs.
         for snr_db in self.snr_db_list:
             replace(REFERENCE_CHANNEL, snr_db=snr_db)
-        det_cfgs = [DetectorConfig(p_f, self.threshold_mode) for p_f in self.p_f_list]
+        det_cfgs = [DetectorConfig(p_f) for p_f in self.p_f_list]
         fs = default_sample_rate(self.standard)
         need = minimum_samples(det_cfgs[0], fs)
         for t in self.observation_times_s:
@@ -82,6 +81,17 @@ class SweepConfig:
                     f"observation time {t} s gives fewer than the {need} samples classify "
                     f"needs at {fs:g} Hz (two slots of the longest-slot profile)"
                 )
+
+    @property
+    def csv_columns(self) -> tuple[str, ...]:
+        """The sweep's CSV layout: Pd vs SNR per observation time for one P_F
+        (fig7/fig8), Pd per P_F and standard for one time (fig9), else the
+        full record, the only layout whose rows stay distinct."""
+        if len(self.p_f_list) == 1:
+            return ("snr_db", "obs_time_ms", "pd", "n_trials")
+        if len(self.observation_times_s) == 1:
+            return ("snr_db", "p_f", "standard", "pd", "n_trials")
+        return SWEEP_CSV_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -104,9 +114,6 @@ _SWEEP_COLUMNS = {
     "n_trials": lambda c: str(c.n_trials),
 }
 SWEEP_CSV_COLUMNS = tuple(_SWEEP_COLUMNS)
-# Pd vs SNR per observation time (fig7/fig8), and Pd per P_F and standard (fig9).
-PD_VS_SNR_COLUMNS = ("snr_db", "obs_time_ms", "pd", "n_trials")
-PD_VS_PF_COLUMNS = ("snr_db", "p_f", "standard", "pd", "n_trials")
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,7 @@ def run_detection_sweep(cfg: SweepConfig) -> SweepResult:
     cells = []
     cell_index = 0
     for p_f in cfg.p_f_list:
-        det_cfg = DetectorConfig(p_f=p_f, threshold_mode=cfg.threshold_mode)
+        det_cfg = DetectorConfig(p_f=p_f)
         for obs_t in cfg.observation_times_s:
             m_r = int(round(obs_t * fs))
             for snr_db in cfg.snr_db_list:
@@ -201,22 +208,31 @@ def run_false_alarm(
     m_r: int,
     p_f: float,
     n_trials: int,
-    mode: str = DetectorConfig.threshold_mode,
     profile: "str | Standard" = Standard.GSM,
     master_seed: int = 0,
 ) -> float:
     """Fraction of noise-only trials a given profile's test declares detected.
 
     Runs ``null_statistics`` at the profile's slot rate and trial sample rate;
-    each trial scales the unit-power threshold by its own sigma_r^2.
+    each trial scales the closed-form unit-power threshold by its own
+    sigma_r^2. m_r must be a record classify accepts for the profile alone:
+    two of its slots at its trial sample rate.
     """
     if not 0 < noise_power < np.inf:
         raise ConfigurationError(f"noise_power must be finite and > 0, got {noise_power}")
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
     profile = Standard.parse(profile)
-    unit = threshold(DetectorConfig(p_f=p_f, threshold_mode=mode), 1.0, m_r)
-    alpha_ts = profile.fundamental_cf_float / default_sample_rate(profile)
+    det_cfg = DetectorConfig(p_f=p_f, profiles=(profile,))
+    fs = default_sample_rate(profile)
+    need = minimum_samples(det_cfg, fs)
+    if m_r < need:
+        raise ConfigurationError(
+            f"m_r {m_r} is below the {need} samples classify needs for {profile.value} "
+            f"at {fs:g} Hz (two slots)"
+        )
+    unit = threshold(det_cfg, 1.0, m_r)
+    alpha_ts = profile.fundamental_cf_float / fs
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0xFA)))
     stats, powers = null_statistics(rng, n_trials, m_r, alpha_ts, noise_power)
     return int(np.count_nonzero(stats > powers * unit)) / n_trials
@@ -228,12 +244,12 @@ _SPECTRUM_MAX_ALPHA_HZ = 20_000.0
 _SWEEP_SNR_GRID = tuple(np.arange(-15.0, 10.1, 2.5))
 
 # Figure presets. A spectrum figure names its standard; a sweep figure names
-# (standards, observation times in s, P_F targets, CSV columns).
+# (standards, observation times in s, P_F targets).
 _SPECTRUM_FIGURES = {"fig3": Standard.GSM, "fig4": Standard.LTE}
 _SWEEP_FIGURES = {
-    "fig7": ((Standard.GSM,), (0.010, 0.050), (1e-2,), PD_VS_SNR_COLUMNS),
-    "fig8": ((Standard.LTE,), (0.010, 0.050), (1e-2,), PD_VS_SNR_COLUMNS),
-    "fig9": ((Standard.GSM, Standard.LTE), (0.010,), (1e-1, 1e-2, 1e-3), PD_VS_PF_COLUMNS),
+    "fig7": ((Standard.GSM,), (0.010, 0.050), (1e-2,)),
+    "fig8": ((Standard.LTE,), (0.010, 0.050), (1e-2,)),
+    "fig9": ((Standard.GSM, Standard.LTE), (0.010,), (1e-1, 1e-2, 1e-3)),
 }
 FIGURES = tuple(_SPECTRUM_FIGURES) + tuple(_SWEEP_FIGURES)
 
@@ -267,10 +283,10 @@ def emit_figure_data(
         return
     if which not in _SWEEP_FIGURES:
         raise ConfigurationError(f"unknown figure {which!r}; expected one of {FIGURES}")
-    standards, obs_times, p_fs, columns = _SWEEP_FIGURES[which]
+    standards, obs_times, p_fs = _SWEEP_FIGURES[which]
     snrs = tuple(snr_db_list) if snr_db_list is not None else _SWEEP_SNR_GRID
     cells = ()
     for standard in standards:
         cfg = SweepConfig(standard, snrs, obs_times, p_fs, n_trials, master_seed)
         cells += run_detection_sweep(cfg).cells
-    SweepResult(cells=cells).write_csv(out_path, columns)
+    SweepResult(cells=cells).write_csv(out_path, cfg.csv_columns)

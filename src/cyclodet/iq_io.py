@@ -188,21 +188,6 @@ def decimation_taps(factor: int) -> np.ndarray:
     return taps / taps.sum()
 
 
-def _next_fast_len(n: int) -> int:
-    """Smallest 2-, 3-, 5-, 7- and 11-smooth integer >= n: the lengths that
-    pocketfft transforms fastest."""
-    best = 1 << (n - 1).bit_length()
-    odd = [1]  # every product of powers of 3, 5, 7 and 11 up to best
-    for radix in (3, 5, 7, 11):
-        grown = []
-        for q in odd:
-            while q <= best:
-                grown.append(q)
-                q *= radix
-        odd = grown
-    return min(q << (-(-n // q) - 1).bit_length() for q in odd)
-
-
 _BLOCK_PER_TAP = 4  # overlap-save block length, in filter lengths
 _CHUNK_SAMPLES = 1 << 17  # input samples transformed per batch of blocks
 
@@ -237,7 +222,8 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
     delay = (taps.size - 1) // 2
     taps = np.concatenate((np.zeros(-(taps.size - 1) % factor), taps))
     overlap = taps.size - 1  # a multiple of factor
-    sub = _next_fast_len(-(-_BLOCK_PER_TAP * taps.size // factor))
+    need = -(-_BLOCK_PER_TAP * taps.size // factor)
+    sub = 1 << (need - 1).bit_length()  # power-of-two transforms are numpy's fastest
     n = sub * factor
     hop = n - overlap  # input samples per block, factor times its kept outputs
     spectrum = np.fft.fft(taps, n)

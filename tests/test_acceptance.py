@@ -144,7 +144,7 @@ def test_criterion_4_constant_false_alarm():
     for profile in (Standard.GSM, Standard.LTE):
         for m_r in (10_000, 100_000):
             rate = run_false_alarm(
-                1.0, m_r, p_f=1e-2, n_trials=10_000, mode="calibrated",
+                1.0, m_r, p_f=1e-2, n_trials=10_000,
                 profile=profile, master_seed=SEED,
             )
             results[(profile.value, m_r)] = rate

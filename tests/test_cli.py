@@ -7,7 +7,6 @@ import pytest
 
 from cyclodet import (
     ChannelConfig,
-    DetectorConfig,
     GsmSynthConfig,
     IqFileMeta,
     LteSynthConfig,
@@ -46,8 +45,7 @@ def test_full_pipeline_classify_detects_gsm(tmp_path, capsys):
                 "--seed", "7", "--out", str(clean)]) == 0
     assert run(["channel", "--in", str(clean), "--snr-db", "15", "--standard", "gsm",
                 "--seed", "9", "--out", str(rx)]) == 0
-    code = run(["classify", "--in", str(rx), "--pf", "0.01", "--mode", "calibrated",
-                "--profiles", "gsm,lte"])
+    code = run(["classify", "--in", str(rx), "--pf", "0.01", "--profiles", "gsm,lte"])
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().splitlines()
@@ -104,11 +102,8 @@ def test_parser_defaults_come_from_the_configs():
           "cell_seed": "cell_seed", "occupancy": "data_occupancy"}),
         (parse("channel", "--in", "x", "--snr-db", "0", "--seed", "0", *out), ChannelConfig,
          {"taps": "num_taps", "decay": "pdp_decay", "cfo_hz": "cfo_hz"}),
-        (parse("classify", "--in", "x"), DetectorConfig, {"mode": "threshold_mode"}),
         (parse("sweep", "--standard", "gsm", "--snr", "0", "--obs-ms", "10", "--seed", "0",
-               *out), SweepConfig, {"mode": "threshold_mode", "trials": "n_trials"}),
-        (parse("calibrate", "--mr", "100", "--pf", "0.01"), DetectorConfig,
-         {"trials": "empirical_null_trials"}),
+               *out), SweepConfig, {"trials": "n_trials"}),
     ]
     for args, config, fields in cases:
         for dest, field in fields.items():
@@ -118,6 +113,19 @@ def test_parser_defaults_come_from_the_configs():
 def test_classify_rejects_removed_uncalibrated_mode(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["classify", "--in", str(tmp_path / "x.iq"), "--mode", "uncalibrated"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--in", "x.iq", "--mode", "calibrated"],
+    ["sweep", "--standard", "gsm", "--snr", "0", "--obs-ms", "10", "--seed", "1",
+     "--out", "s.csv", "--mode", "calibrated"],
+    ["calibrate", "--mr", "2000", "--pf", "0.01"],
+], ids=["classify", "sweep", "calibrate"])
+def test_threshold_mode_is_not_a_command_line_choice(argv):
+    # Every command-line decision uses DetectorConfig's closed-form threshold.
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
     assert exc.value.code == 2
 
 
@@ -260,28 +268,6 @@ def test_classify_refuses_repeated_profile(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_calibrate_refuses_fewer_than_one_expected_exceedance(capsys):
-    assert run(["calibrate", "--mr", "3000", "--pf", "1e-6"]) == 2
-    assert "needs p_f >= 0.0001, got p_f=1e-06" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["classify", "sweep"])
-def test_empirical_null_floor_names_the_smallest_pf(tmp_path, capsys, command):
-    # Neither command has --trials; the message names the P_F floor instead.
-    clean = tmp_path / "c.iq"
-    run(["synth-gsm", "--slots", "4", "--seed", "1", "--out", str(clean)])
-    capsys.readouterr()
-    argv = {
-        "classify": ["classify", "--in", str(clean)],
-        "sweep": ["sweep", "--standard", "gsm", "--snr", "0", "--obs-ms", "10", "--seed", "1",
-                  "--out", str(tmp_path / "s.csv")],
-    }[command]
-    assert run([*argv, "--mode", "empirical_null", "--pf", "1e-5"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "0.0001" in err and "--trials" not in err
-
-
 def test_large_finite_rs_boost_writes_unit_power(tmp_path):
     out = tmp_path / "o.iq"
     argv = ["synth-lte", "--slots", "2", "--seed", "1", "--rs-boost-db", "3000", "--out", str(out)]
@@ -289,13 +275,6 @@ def test_large_finite_rs_boost_writes_unit_power(tmp_path):
     samples = load_iq(out).samples
     assert np.all(np.isfinite(samples))
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, rel=1e-6)
-
-
-def test_calibrate_prints_threshold(capsys):
-    assert run(["calibrate", "--mr", "2000", "--pf", "0.01", "--trials", "20000"]) == 0
-    value = float(capsys.readouterr().out.strip())
-    closed_form = np.sqrt(-np.log(0.01) / 2000)
-    assert abs(value - closed_form) / closed_form < 0.08
 
 
 def test_io_error_exit_code(tmp_path):

@@ -130,6 +130,9 @@ def test_null_statistics_centre_each_batch_in_its_draw_buffer():
     # transformed copy of a batch would double the peak.
     n, m_r = 2000, 1500
     batch_bytes = (detector._NULL_BATCH_SAMPLES // m_r) * m_r * 8
+    # numpy's first exponential draw in a process allocates about 1 MB of its
+    # own; make it here, from a throwaway generator, so the peak is the call's.
+    np.random.default_rng(0).standard_exponential(1)
     tracemalloc.start()
     try:
         null_statistics(np.random.default_rng(3), n, m_r, 0.37, 1.0)

@@ -26,10 +26,10 @@ from cyclodet import ccf_estimator, experiment_harness
 from cyclodet.ccf_estimator import unit_phasors
 from cyclodet.channel_sim import apply_channel, complex_normal, draw_taps
 from cyclodet.detector import (
-    THRESHOLD_MODES,
     classify,
     mean_power_leakage,
     minimum_samples,
+    null_statistics,
     threshold,
 )
 from cyclodet.experiment_harness import (
@@ -253,13 +253,12 @@ def test_sweep_minimum_record_is_classify_minimum(std):
 
 
 def test_false_alarm_calibrated_quick():
-    rate = run_false_alarm(1.0, m_r=4000, p_f=0.01, n_trials=4000,
-                           mode="calibrated", profile=Standard.GSM)
+    rate = run_false_alarm(1.0, m_r=4000, p_f=0.01, n_trials=4000, profile=Standard.GSM)
     assert 0.005 < rate < 0.016  # 3-sigma band around 0.01
 
 
 def test_false_alarm_near_always_alarm_limit():
-    rate = run_false_alarm(1.0, m_r=2000, p_f=0.999, n_trials=500, mode="calibrated")
+    rate = run_false_alarm(1.0, m_r=2000, p_f=0.999, n_trials=500)
     assert rate > 0.99
 
 
@@ -279,10 +278,10 @@ def test_false_alarm_rejects_non_positive_trials(monkeypatch, n_trials):
         run_false_alarm(1.0, m_r=2000, p_f=0.01, n_trials=n_trials)
 
 
-def _false_alarm_loop_reference(noise_power, m_r, p_f, n_trials, mode, profile, master_seed):
+def _false_alarm_loop_reference(noise_power, m_r, p_f, n_trials, profile, master_seed):
     """run_false_alarm as a per-trial loop with hand-written draws: each
     record's |r|^2 is noise_power times m_r unit exponentials."""
-    det_cfg = DetectorConfig(p_f=p_f, threshold_mode=mode, profiles=(profile,))
+    det_cfg = DetectorConfig(p_f=p_f, profiles=(profile,))
     alpha_ts = profile.fundamental_cf_float / default_sample_rate(profile)
     phasors = unit_phasors(alpha_ts, m_r)
     unit = threshold(det_cfg, 1.0, m_r)
@@ -296,14 +295,26 @@ def _false_alarm_loop_reference(noise_power, m_r, p_f, n_trials, mode, profile, 
 
 
 @pytest.mark.parametrize("profile", [Standard.GSM, Standard.LTE], ids=["gsm", "lte"])
-@pytest.mark.parametrize("mode", THRESHOLD_MODES)
 @pytest.mark.parametrize("m_r,n_trials", [(2000, 300), (10_000, 40)])
-def test_false_alarm_matches_per_trial_loop(profile, mode, m_r, n_trials):
+def test_false_alarm_matches_per_trial_loop(profile, m_r, n_trials):
     for noise_power in (1.0, 0.37):
-        args = (noise_power, m_r, 0.3, n_trials, mode, profile, 11)
+        args = (noise_power, m_r, 0.3, n_trials, profile, 11)
         expected = _false_alarm_loop_reference(*args)
         assert 0 < expected < 1
-        assert run_false_alarm(*args[:4], mode=mode, profile=profile, master_seed=11) == expected
+        assert run_false_alarm(*args[:4], profile=profile, master_seed=11) == expected
+
+
+@pytest.mark.parametrize("profile", [Standard.GSM, Standard.LTE], ids=["gsm", "lte"])
+def test_false_alarm_refuses_records_classify_refuses(profile):
+    # The closed form holds its P_F on records classify accepts: GSM at P_F
+    # 0.01 read 0.0 at M_r 2, 10 and 100, 0.00245 at 300 and 0.0106 at the
+    # 1,250-sample floor (20,000 trials each).
+    need = minimum_samples(DetectorConfig(p_f=0.01, profiles=(profile,)),
+                           default_sample_rate(profile))
+    assert need == {Standard.GSM: 1250, Standard.LTE: 1920}[profile]
+    with pytest.raises(ConfigurationError, match=f"m_r {need - 1} is below the {need}"):
+        run_false_alarm(1.0, m_r=need - 1, p_f=0.01, n_trials=5, profile=profile)
+    assert 0 <= run_false_alarm(1.0, m_r=need, p_f=0.01, n_trials=5, profile=profile) <= 1
 
 
 def test_classify_and_false_alarm_reach_the_traced_estimator_functions(monkeypatch):
@@ -333,9 +344,14 @@ def test_classify_and_false_alarm_reach_the_traced_estimator_functions(monkeypat
 
 
 def test_false_alarm_empirical_mode_matches_target():
-    rate = run_false_alarm(1.0, m_r=2000, p_f=0.05, n_trials=2000,
-                           mode="empirical_null", profile=Standard.LTE)
-    assert 0.03 < rate < 0.07
+    # DetectorConfig's empirical-null threshold holds its P_F on noise drawn
+    # apart from its own Monte Carlo, at the LTE slot rate.
+    m_r, p_f, n = 2000, 0.05, 2000
+    cfg = DetectorConfig(p_f=p_f, threshold_mode="empirical_null", empirical_null_trials=n)
+    unit = threshold(cfg, 1.0, m_r)
+    alpha_ts = Standard.LTE.fundamental_cf_float / default_sample_rate(Standard.LTE)
+    stats, powers = null_statistics(np.random.default_rng(7), n, m_r, alpha_ts, 1.0)
+    assert 0.03 < np.count_nonzero(stats > powers * unit) / n < 0.07
 
 
 def test_emit_fig3_spectrum_schema(tmp_path):

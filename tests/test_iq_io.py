@@ -12,7 +12,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.fft import next_fast_len
 from scipy.signal import firwin, kaiserord
 
 from cyclodet import (
@@ -27,7 +26,7 @@ from cyclodet import (
     synth_noise,
 )
 import cyclodet
-from cyclodet.iq_io import _READ_CHUNK, _next_fast_len, decimation_taps
+from cyclodet.iq_io import _READ_CHUNK, decimation_taps
 
 
 def _f32_buffer(m=257, seed=0, fs=1_083_333.3333333333):
@@ -249,11 +248,6 @@ def test_closed_form_taps_equal_scipy_design():
         taps = decimation_taps(factor)
         assert taps.size == ref.size
         assert np.all(np.abs(taps - ref) <= 1e-15 * np.abs(ref))
-
-
-def test_next_fast_len_equals_scipy():
-    for n in [*range(1, 5001), 10**6 + 1, 2**31 + 1, 3**20 + 1, 10**9 + 7, 2**40 - 1]:
-        assert _next_fast_len(n) == next_fast_len(n), n
 
 
 def test_import_leaves_scipy_unloaded():
