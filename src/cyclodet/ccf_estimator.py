@@ -79,7 +79,7 @@ def cyclic_sum(lag: np.ndarray, alpha_ts: float) -> complex | np.ndarray:
     full = lag[..., : n_full * block].reshape(lag.shape[:-1] + (n_full, block))
     np.matmul(full, kernel, out=out[..., :n_full, :])
     if tail:
-        np.matmul(lag[..., None, n_full * block :], kernel[:tail], out=out[..., n_full:, :])
+        np.matmul(lag[..., n_full * block :], kernel[:tail], out=out[..., n_full, :])
     return sums @ unit_phasors((alpha_ts * block) % 1.0, n_blocks)
 
 

@@ -3,12 +3,14 @@ and the Monte Carlo harness together.
 
 Data files are cf32le with a ``<file>.meta`` sidecar next to them. Exit
 codes: 0 success, 1 classify found nothing, 2 usage error, 3 I/O or format
-error. Every randomized command requires an explicit ``--seed``.
+error. Every randomized command requires an explicit ``--seed``. ``main``
+may be called many times in one process; the calls share one parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -205,9 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as exc:

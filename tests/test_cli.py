@@ -1,6 +1,11 @@
 """End-to-end CLI tests: subcommands, file plumbing, exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from cyclodet import (
     load_iq,
     save_iq,
 )
+from cyclodet import cli
 from cyclodet.cli import build_parser, main
 from cyclodet.iq_io import _READ_CHUNK
 
@@ -127,6 +133,66 @@ def test_threshold_mode_is_not_a_command_line_choice(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
+
+
+def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    # main parses with one parser per process: each call must parse as a
+    # fresh parser would, whatever the calls before it set or failed on.
+    parser, parsed = cli._parser(), []
+
+    class Parsed(Exception):
+        pass
+
+    def parse_only(*args, **kwargs):
+        parsed.append(vars(argparse.ArgumentParser.parse_args(parser, *args, **kwargs)))
+        raise Parsed
+
+    monkeypatch.setattr(parser, "parse_args", parse_only)
+    no_out = ["decimate", "--in", "x.iq", "--factor", "4"]
+    calls = [
+        ["classify", "--in", "x.iq", "--pf", "0.05", "--profiles", "gsm"],
+        ["classify", "--in", "x.iq"],
+        ["sweep", "--standard", "lte", "--snr", "-15:1:5", "--obs-ms", "10", "--seed", "3",
+         "--out", "s.csv"],
+        no_out,
+        ["decimate", "--in", "y.iq", "--factor", "2", "--out", "z.iq"],
+    ]
+    for argv in calls:
+        with pytest.raises(SystemExit if argv is no_out else Parsed) as exc:
+            main(argv)
+        if argv is no_out:
+            assert exc.value.code == 2
+            assert "--out" in capsys.readouterr().err
+        else:
+            assert parsed[-1] == vars(build_parser().parse_args(argv)), argv
+    assert len(parsed) == 4 and cli._parser() is parser
+    assert (parsed[1]["pf"], parsed[1]["profiles"]) == (1e-2, "gsm,lte")
+
+
+def test_cached_parser_keeps_the_traced_call_route(tmp_path, monkeypatch):
+    # bench/tracing.py rebinds these cli names after its warm-up calls; a
+    # cached parser holding the functions themselves would bypass the rebinding.
+    clean, narrow = tmp_path / "c.iq", tmp_path / "n.iq"
+    assert run(["synth-gsm", "--slots", "16", "--seed", "1", "--out", str(clean)]) == 0
+    reached = set()
+    for name in ("load_iq", "decimate", "save_iq", "classify"):
+        def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            reached.add(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    assert run(["decimate", "--in", str(clean), "--factor", "2", "--out", str(narrow)]) == 0
+    assert run(["classify", "--in", str(narrow), "--json"]) in (0, 1)
+    assert reached == {"load_iq", "decimate", "save_iq", "classify"}
+
+
+def test_import_builds_no_parser():
+    # The parser is built at the first main call, so importing the package
+    # (and the CLI module) pays nothing for it.
+    src = str(Path(cli.__file__).parents[1])
+    code = "import cyclodet, cyclodet.cli as cli; print(cli._parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "0"
 
 
 def test_ccf_spectrum_csv(tmp_path):
