@@ -4,24 +4,30 @@
 
     C_hat(alpha, tau) = (1/M_r) * sum_m r(m) conj(r(m + tau)) exp(-j 2 pi alpha m T_s)
 
-at one exact cyclic frequency, so frequencies such as 26000/15 Hz need no grid
-tricks. The sum is ``cyclic_sum``, the one kernel behind every statistic,
-the detector's noise-only batches included: each block of 2**14 lag
-products is multiplied by one cached phasor table, and the block sums are
-rotated by the phasors of the block starts. ``ccf_spectrum`` evaluates the
-whole natural DFT grid alpha_k = k / (M_r T_s) at once for plots; the two
-agree on every grid point and that equivalence is enforced by tests.
+at exact cyclic frequencies, so frequencies such as 26000/15 Hz need no grid
+tricks. Every sum is taken in blocks of 2**14 terms, each multiplied by a
+cached phasor table, and the block sums are rotated by the phasors of the
+block starts. At tau = 0 (the detector's operating point) one pass over the
+samples of a buffer or a capture file gives every requested frequency from
+one stacked table (``_zero_lag_sums``). ``cyclic_sum`` sums a lag product at
+one frequency, or each row of a batch of records, as the detector's
+noise-only batches need. ``ccf_spectrum`` evaluates the whole natural DFT
+grid alpha_k = k / (M_r T_s) at once for plots; the two agree on every grid
+point and that equivalence is enforced by tests.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import math
+import os
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .iq_io import load_iq, read_chunks
 from .signal_model import CcfEstimate, IqBuffer
 
 _PHASOR_BLOCK = 1 << 14
@@ -84,24 +90,143 @@ def cyclic_sum(lag: np.ndarray, alpha_ts: float) -> complex | np.ndarray:
 
 
 def _lag_product(r: IqBuffer, tau_samples: int) -> np.ndarray:
-    """r(m) conj(r(m + tau)) for m = 0..M_r - tau - 1, or the buffer's |r|^2 at tau = 0."""
+    """r(m) conj(r(m + tau)) for m = 0..M_r - tau - 1, or |r|^2 at tau = 0."""
     m = r.m_r
     if not 0 <= tau_samples < m:
         raise ValueError(f"tau_samples must be in [0, {m}), got {tau_samples}")
     if tau_samples:
         return r.samples[: m - tau_samples] * np.conj(r.samples[tau_samples:])
-    return r.power
+    return np.abs(r.samples) ** 2
 
 
-def estimate_ccf(r: IqBuffer, alpha_hz: float, tau_samples: int = 0) -> CcfEstimate:
-    """Estimate the CCF of ``r`` at one cyclic frequency and sample delay.
+# Samples of |r|^2 summed per product: whole phasor blocks, so every product
+# but the record's last has one shape, and its rounding does not depend on
+# how the samples arrive.
+_GROUP = 4 * _PHASOR_BLOCK
 
-    The lag product is truncated at the buffer end while the normalization
-    stays 1/M_r; at tau = 0 (the detector's operating point) the sum is exact.
+
+@functools.lru_cache(maxsize=16)
+def _stacked_table(alphas_ts: tuple[float, ...]) -> np.ndarray:
+    """Read-only (2k, 2**14) table: the real and imaginary parts of
+    exp(-j 2 pi alpha_ts n) as rows 2i and 2i + 1, one pair per cyclic
+    frequency, with the entries of ``_phasor_table``."""
+    phasors = np.arange(_PHASOR_BLOCK, dtype=np.complex128)[None, :] * (
+        -2j * np.pi * np.array(alphas_ts)[:, None]
+    )
+    np.exp(phasors, out=phasors)
+    table = np.stack((phasors.real, phasors.imag), axis=1).reshape(-1, _PHASOR_BLOCK)
+    table.flags.writeable = False
+    return table
+
+
+def sample_chunks(r: "IqBuffer | str | os.PathLike") -> tuple[float, int, Iterator[np.ndarray]]:
+    """Sample rate, M_r and an iterator over the samples of a buffer or of a
+    cf32le capture file; a file is opened when its first chunk is read."""
+    if isinstance(r, IqBuffer):
+        starts = range(0, r.m_r, _GROUP)
+        return r.sample_rate_hz, r.m_r, (r.samples[s : s + _GROUP] for s in starts)
+    meta, count, chunks = read_chunks(r)
+    return meta.sample_rate_hz, count, chunks
+
+
+def _abs_squared(x: np.ndarray, out: np.ndarray, squares: "np.ndarray | None") -> None:
+    """|x|^2 into out. A cf32 sample's I^2 + Q^2 is formed in float64, where
+    both squares are exact, so the sum is correctly rounded."""
+    if x.dtype == np.complex64:
+        sq = squares[: 2 * x.size]
+        np.copyto(sq, x.view(np.float32))
+        np.square(sq, out=sq)
+        np.add(sq[0::2], sq[1::2], out=out)
+    else:
+        np.abs(x, out=out)
+        np.square(out, out=out)
+
+
+def _zero_lag_sums(
+    chunks: Iterator[np.ndarray], m: int, alphas_ts: tuple[float, ...]
+) -> tuple[float, list[complex]]:
+    """sum_m |r(m)|^2 and, for each alpha_ts, sum_m |r(m)|^2 exp(-j 2 pi alpha_ts m),
+    in one pass over the chunks of r.
+
+    |r|^2 is written into a scratch of _GROUP samples. Each filled group is
+    summed (``np.sum``; ``math.fsum`` over the group sums) and multiplied by
+    the stacked table of every alpha_ts at once, which gives each 2**14-block
+    sum; the block sums are dotted with the block-start phasors at the end.
+    Groups start at fixed sample positions, so the sums do not depend on how
+    the chunks are cut.
     """
-    lag = _lag_product(r, tau_samples)
-    value = cyclic_sum(lag, alpha_hz * r.sampling_period_s) / r.m_r
-    return CcfEstimate(value=complex(value), m_r=r.m_r)
+    block = _PHASOR_BLOCK
+    table = _stacked_table(alphas_ts)
+    sums = np.empty((table.shape[0], -(-m // block)))
+    power = np.empty(min(m, _GROUP))
+    squares = None  # the cf32 squares, made at the first cf32 chunk
+    totals, fill, done = [], 0, 0
+
+    def flush(p: np.ndarray) -> None:
+        nonlocal done
+        totals.append(np.sum(p))
+        full, tail = divmod(p.size, block)
+        if full:
+            np.matmul(table, p[: full * block].reshape(full, block).T,
+                      out=sums[:, done : done + full])
+        if tail:
+            np.matmul(table[:, :tail], p[full * block :], out=sums[:, done + full])
+        done += full + (tail > 0)
+
+    for chunk in chunks:
+        if squares is None and chunk.dtype == np.complex64:
+            squares = np.empty(2 * power.size)
+        pos = 0
+        while pos < chunk.size:
+            take = min(chunk.size - pos, _GROUP - fill)
+            _abs_squared(chunk[pos : pos + take], power[fill : fill + take], squares)
+            fill, pos = fill + take, pos + take
+            if fill == _GROUP:
+                flush(power)
+                fill = 0
+    if fill:
+        flush(power[:fill])
+    values = [
+        complex((sums[2 * i] + 1j * sums[2 * i + 1]) @ unit_phasors((a * block) % 1.0, done))
+        for i, a in enumerate(alphas_ts)
+    ]
+    return math.fsum(totals), values
+
+
+def estimate_ccf(
+    r: "IqBuffer | str | os.PathLike", alpha_hz: "float | np.ndarray", tau_samples: int = 0
+) -> CcfEstimate:
+    """Estimate the CCF of ``r`` at one or more cyclic frequencies and one sample delay.
+
+    ``r`` is a buffer or the path of a cf32le capture; ``value`` has the
+    shape of ``alpha_hz``. The lag product is truncated at the record end
+    while the normalization stays 1/M_r; at tau = 0 (the detector's operating
+    point) the sum is exact.
+
+    At tau = 0 every cyclic frequency comes from one pass over the samples
+    (``_zero_lag_sums``): a capture file is read once, in chunks, in memory
+    that does not grow with its length, and Ĉ(0, 0), the mean power, is the
+    ``math.fsum`` of the group sums of |r|^2. For a cf32 capture |r|^2 is
+    I^2 + Q^2 in float64, correctly rounded. A nonzero tau loads a capture
+    with ``load_iq`` and sums its lag product once per cyclic frequency.
+    """
+    alphas = np.asarray(alpha_hz, dtype=np.float64)
+    if tau_samples:
+        buf = r if isinstance(r, IqBuffer) else load_iq(r)
+        lag = _lag_product(buf, tau_samples)
+        m = buf.m_r
+        alphas_ts = alphas.ravel() * buf.sampling_period_s
+        values = [cyclic_sum(lag, float(a)) / m for a in alphas_ts]
+    else:
+        rate, m, chunks = sample_chunks(r)
+        alphas_ts = alphas.ravel() * (1.0 / rate)
+        nonzero = tuple(float(a) for a in alphas_ts if a != 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite buffers reach sigma's check
+            total, sums = _zero_lag_sums(chunks, m, nonzero)
+        sums = iter(sums)
+        values = [(next(sums) if a != 0.0 else total) / m for a in alphas_ts]
+    value = np.array(values, dtype=np.complex128).reshape(alphas.shape)
+    return CcfEstimate(value=value if value.ndim else complex(value), m_r=m)
 
 
 @dataclass(frozen=True)

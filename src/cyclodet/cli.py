@@ -97,9 +97,8 @@ def _cmd_ccf_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    buf = load_iq(args.infile)
     cfg = DetectorConfig(p_f=args.pf, profiles=args.profiles.split(","))
-    report = classify(buf, cfg)
+    report = classify(args.infile, cfg)
     if args.json:
         print(report.to_json_line())
     else:

@@ -9,13 +9,14 @@ the profile with the largest statistic becomes the label if it crosses.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .ccf_estimator import cyclic_sum, estimate_ccf
+from .ccf_estimator import cyclic_sum, estimate_ccf, sample_chunks
 from .errors import ConfigurationError
 from .signal_model import IqBuffer, Standard
 
@@ -58,8 +59,8 @@ class DetectorConfig:
 
 
 def estimate_variance(r: IqBuffer) -> float:
-    """Mean received power (the variance under the zero-mean assumption)."""
-    return float(np.mean(r.power))
+    """Mean received power (the variance under the zero-mean assumption), Ĉ(0, 0)."""
+    return estimate_ccf(r, 0.0).value.real
 
 
 def mean_power_leakage(alpha_hz: float, sample_rate_hz: float, m_r: int) -> complex:
@@ -104,8 +105,8 @@ def null_statistics(
     a batch of records is the rows of one exponential draw, filled in order (the
     records do not depend on the batch size); both outputs are linear in p.
     Every batch is drawn into one reused buffer; each row's statistic is its
-    ``cyclic_sum``, the blocked sum behind ``estimate_ccf``, less the mean-power
-    leakage that ``detection_statistic`` removes."""
+    ``cyclic_sum``, blocked as ``estimate_ccf`` blocks its sums, less the
+    mean-power leakage that ``detection_statistic`` removes."""
     leak = mean_power_leakage(alpha_ts, 1.0, m_r)
     rows = min(n, max(1, _NULL_BATCH_SAMPLES // m_r))
     draws = np.empty((rows, m_r))
@@ -210,33 +211,41 @@ def minimum_samples(cfg: DetectorConfig, sample_rate_hz: float) -> int:
     return int(np.ceil(2.0 * longest * sample_rate_hz))
 
 
-def classify(r: IqBuffer, cfg: DetectorConfig) -> DecisionReport:
-    """Test every configured profile's fundamental CF and label the buffer.
+def classify(r: "IqBuffer | str | os.PathLike", cfg: DetectorConfig) -> DecisionReport:
+    """Test every configured profile's fundamental CF and label the record.
 
+    ``r`` is a buffer or the path of a cf32le capture. One ``estimate_ccf``
+    call gives sigma_r^2 = Ĉ(0, 0) and every profile's Ĉ(alpha, 0), so a
+    capture file is read once, in memory that does not grow with its length;
+    its |r|^2 is I^2 + Q^2 in float64, correctly rounded.
     Every profile shares one threshold, so the label goes to the profile
     with the largest statistic if that profile crosses it (the first listed
     on a tie), and stays unknown otherwise.
     Deterministic for fixed inputs; the empirical-null mode runs its Monte
     Carlo from a fixed internal seed.
     """
+    rate, m_r, _ = sample_chunks(r)
     for profile in cfg.profiles:
-        if r.sample_rate_hz <= 2 * profile.fundamental_cf_float:
+        if rate <= 2 * profile.fundamental_cf_float:
             raise ValueError(
-                f"sample rate {r.sample_rate_hz:g} Hz is at or below twice the "
+                f"sample rate {rate:g} Hz is at or below twice the "
                 f"{profile.value} slot rate {profile.fundamental_cf_float:g} Hz"
             )
-    need = minimum_samples(cfg, r.sample_rate_hz)
-    if r.m_r < need:
+    need = minimum_samples(cfg, rate)
+    if m_r < need:
         raise ValueError(
-            f"buffer too short to resolve the slot rate: got {r.m_r} samples, "
+            f"buffer too short to resolve the slot rate: got {m_r} samples, "
             f"need at least {need} (two slots of the longest-slot profile at "
-            f"{r.sample_rate_hz:g} Hz)"
+            f"{rate:g} Hz)"
         )
-    sigma_r_sq = estimate_variance(r)
-    gamma = threshold(cfg, sigma_r_sq, r.m_r)
+    alphas = [p.fundamental_cf_float for p in cfg.profiles]
+    est = estimate_ccf(r, [0.0, *alphas])
+    sigma_r_sq = float(est.value[0].real)
+    gamma = threshold(cfg, sigma_r_sq, m_r)
     decisions = []
-    for profile in cfg.profiles:
-        stat = detection_statistic(r, profile.fundamental_cf_float, sigma_r_sq)
+    for profile, alpha, value in zip(cfg.profiles, alphas, est.value[1:]):
+        leak = sigma_r_sq * mean_power_leakage(alpha, rate, m_r)
+        stat = abs(complex(value) - leak)
         decisions.append(ProfileDecision(profile, stat, detected=stat > gamma))
     best = max(decisions, key=lambda d: d.statistic)
     return DecisionReport(
@@ -244,5 +253,5 @@ def classify(r: IqBuffer, cfg: DetectorConfig) -> DecisionReport:
         label=best.standard if best.detected else None,
         threshold=gamma,
         sigma_r_sq=sigma_r_sq,
-        m_r=r.m_r,
+        m_r=m_r,
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -112,19 +112,21 @@ def save_iq(buf: IqBuffer, path) -> None:
     ).write(_meta_path(path))
 
 
-_READ_CHUNK = 1 << 16  # samples read and checked at a time
+_READ_CHUNK = 1 << 16  # samples read and checked at a time, a multiple of 2**14
 
 
-def load_iq(path) -> IqBuffer:
-    """Read a cf32le capture and its sidecar into an IqBuffer.
+def read_chunks(path) -> tuple[IqFileMeta, int, Iterator[np.ndarray]]:
+    """Open a cf32le capture: its sidecar, its sample count and an iterator
+    over its samples, read once, in checked chunks.
 
-    Rejects, naming the file: a length that is not whole samples, an empty
-    capture, a ``sample_count`` that differs from the data (a capture cut
-    short by whole samples), and non-finite or all-zero samples.
-
-    The file is read in chunks of _READ_CHUNK samples into one reused
-    float32 buffer; each chunk is checked there and widened into the
-    complex128 output, so no full-length float32 copy is made.
+    Refused at once, naming the file: a length that is not whole samples, an
+    empty capture, and a ``sample_count`` that differs from the data (a
+    capture cut short by whole samples). The iterator reads _READ_CHUNK
+    samples at a time, from sample 0, into one reused complex64 buffer that
+    is valid until the next chunk; it refuses the chunk that holds a
+    non-finite sample, a file that ends before its first measured length,
+    and, after the last chunk, a capture of zero samples only. The file is
+    opened when the first chunk is read.
     """
     meta = IqFileMeta.read(_meta_path(path))
     size = os.path.getsize(path)
@@ -141,21 +143,40 @@ def load_iq(path) -> IqBuffer:
             f"{path}: holds {count} samples, but {_meta_path(path)} declares "
             f"sample_count={meta.sample_count}"
         )
-    samples = np.empty(count, dtype=np.complex128)
+    return meta, count, _checked_chunks(path, count)
+
+
+def _checked_chunks(path, count: int) -> Iterator[np.ndarray]:
     chunk = np.empty(min(count, _READ_CHUNK), dtype="<c8")
     nonzero = False
     with open(path, "rb") as fh:
         for start in range(0, count, chunk.size):
             part = chunk[: count - start]
             if fh.readinto(part.view(np.uint8)) != part.nbytes:
-                raise FormatError(f"{path}: capture ended before its {size} bytes")
+                raise FormatError(
+                    f"{path}: capture ended before its {count * _BYTES_PER_SAMPLE} bytes"
+                )
             floats = part.view("<f4")
             if not np.isfinite(floats).all():
                 raise FormatError(f"{path}: capture holds non-finite samples")
             nonzero = nonzero or bool(floats.any())
-            samples[start : start + part.size] = part
+            yield part
     if not nonzero:
         raise FormatError(f"{path}: capture holds only zero samples")
+
+
+def load_iq(path) -> IqBuffer:
+    """Read a cf32le capture and its sidecar into an IqBuffer.
+
+    The samples pass every check of ``read_chunks`` and are widened chunk by
+    chunk into the complex128 output, so no full-length float32 copy is made.
+    """
+    meta, count, chunks = read_chunks(path)
+    samples = np.empty(count, dtype=np.complex128)
+    start = 0
+    for part in chunks:
+        samples[start : start + part.size] = part
+        start += part.size
     return IqBuffer(
         samples=samples,
         sample_rate_hz=meta.sample_rate_hz,

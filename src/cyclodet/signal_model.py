@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -72,8 +71,6 @@ profile_for = Standard.parse
 class IqBuffer:
     """Complex baseband samples plus sampling metadata.
 
-    ``samples`` is treated as immutable by every consumer in this package,
-    which is what lets ``power`` be computed once and kept.
     The sampling period is derived from ``sample_rate_hz``, never stored.
     """
 
@@ -100,13 +97,6 @@ class IqBuffer:
         """Number of received samples."""
         return self.samples.size
 
-    @cached_property
-    def power(self) -> np.ndarray:
-        """Instantaneous power |r|^2, computed on first use and read-only."""
-        power = np.abs(self.samples) ** 2
-        power.flags.writeable = False
-        return power
-
     @property
     def sampling_period_s(self) -> float:
         return 1.0 / self.sample_rate_hz
@@ -118,7 +108,8 @@ class IqBuffer:
 
 @dataclass(frozen=True)
 class CcfEstimate:
-    """One cyclic-correlation value and the record length it was estimated over."""
+    """Cyclic-correlation values, one per cyclic frequency asked for (a
+    complex for one frequency), and the record length they were estimated over."""
 
-    value: complex
+    value: "complex | np.ndarray"
     m_r: int

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, file plumbing, exit codes."""
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from cyclodet import (
     ChannelConfig,
+    FormatError,
     GsmSynthConfig,
     IqFileMeta,
     LteSynthConfig,
@@ -184,6 +186,117 @@ def test_cached_parser_keeps_the_traced_call_route(tmp_path, monkeypatch):
     assert run(["classify", "--in", str(narrow), "--json"]) in (0, 1)
     assert reached == {"load_iq", "decimate", "save_iq", "classify"}
 
+
+
+def _bench_module(name):
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_capture_commands_reach_every_traced_layer(tmp_path, monkeypatch):
+    # The benchmark's own tracer, rebinding its layers at every name that binds
+    # them: classify reads the capture in one pass through the estimator, and
+    # load_iq stays on the capture route through decimate.
+    tracing = _bench_module("tracing")
+    wide, narrow = tmp_path / "w.iq", tmp_path / "n.iq"
+    assert run(["synth-gsm", "--slots", "16", "--oversample", "8", "--seed", "1",
+                "--out", str(wide)]) == 0
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "cyclodet":  # undone by monkeypatch after the test
+            for attr, value in list(vars(mod).items()):
+                if callable(value):
+                    monkeypatch.setattr(mod, attr, value)
+    tracer = tracing.Tracer()
+    tracer.install()
+    assert tracer.missing == []
+
+    def layers_of(argv):
+        first = len(tracer.spans)
+        assert cli.main(argv) in (0, 1)  # looked up as the benchmark calls it
+        return {span[0] for span in tracer.spans[first:]}
+
+    assert layers_of(["decimate", "--in", str(wide), "--factor", "2", "--out", str(narrow)]) == {
+        "cli.main", "iq_io.load_iq", "iq_io.decimate", "iq_io.save_iq"}
+    assert layers_of(["classify", "--in", str(narrow), "--json"]) == {
+        "cli.main", "detector.classify", "detector.threshold",
+        "ccf_estimator.estimate_ccf", "ccf_estimator.unit_phasors"}
+    _, layers = tracing.layer_metrics(tracer, 10**9)
+    routes = _bench_module("workloads").Capture.routes
+    assert tracing.coverage_check(routes, layers, tracer.missing)["ok"]
+
+
+def _refused_by_load_iq(path):
+    with pytest.raises(FormatError) as exc:
+        load_iq(path)
+    return f"error: {exc.value}\n"
+
+
+def _bad_capture(tmp_path, bad):
+    """A capture that load_iq refuses, longer than one read chunk where the
+    fault can sit past the first."""
+    data = tmp_path / f"{bad}.iq"
+    samples = np.ones(2 * _READ_CHUNK + 5, dtype="<c8")
+    declared = samples.size
+    if bad == "nan-first-chunk":
+        samples[17] = complex(np.nan, 1.0)
+    elif bad == "inf-later-chunk":
+        samples[2 * _READ_CHUNK + 3] = complex(1.0, -np.inf)
+    elif bad == "zeros":
+        samples[:] = 0
+    elif bad == "count-mismatch":
+        declared += 1
+    elif bad == "empty":
+        samples, declared = samples[:0], None
+    samples.tofile(data)
+    if bad == "odd-bytes":
+        with open(data, "ab") as fh:
+            fh.write(b"\0\0\0")
+    IqFileMeta(sample_rate_hz=1e6, sample_count=declared).write(f"{data}.meta")
+    return data
+
+
+@pytest.mark.parametrize("bad", ["odd-bytes", "empty", "count-mismatch", "nan-first-chunk",
+                                 "inf-later-chunk", "zeros"])
+def test_classify_refuses_bad_captures_as_load_iq_does(tmp_path, capsys, bad):
+    data = _bad_capture(tmp_path, bad)
+    message = _refused_by_load_iq(data)
+    assert run(["classify", "--in", str(data)]) == 3
+    assert capsys.readouterr() == ("", message)
+
+
+def test_classify_refuses_a_capture_that_shrinks_while_read(tmp_path, capsys, monkeypatch):
+    # The length is measured before the read; data that ends before it is
+    # refused as load_iq refuses it, whichever chunk comes up short.
+    data = tmp_path / "s.iq"
+    np.ones(_READ_CHUNK + 5, dtype="<c8").tofile(data)
+    IqFileMeta(sample_rate_hz=1e6).write(f"{data}.meta")
+    measured = os.path.getsize(data) + 8 * _READ_CHUNK
+    real_getsize = os.path.getsize
+    monkeypatch.setattr(os.path, "getsize",
+                        lambda p: measured if str(p) == str(data) else real_getsize(p))
+    message = _refused_by_load_iq(data)
+    assert f"{measured} bytes" in message
+    assert run(["classify", "--in", str(data)]) == 3
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("rate,samples", [(4000.0, 40_000), (1e6, 1153)])
+def test_classify_refuses_rate_and_length_before_reading(tmp_path, capsys, rate, samples):
+    # A rate at twice the LTE slot rate, or fewer samples than two GSM slots
+    # (1,154 at 1 MHz), is a usage error, found from the sidecar and the file
+    # length before the samples (here with a NaN) are read.
+    data = tmp_path / "u.iq"
+    rng = np.random.default_rng(3)
+    samples = (rng.standard_normal(samples) + 1j * rng.standard_normal(samples)).astype("<c8")
+    samples[-1] = np.nan
+    samples.tofile(data)
+    IqFileMeta(sample_rate_hz=rate, sample_count=samples.size).write(f"{data}.meta")
+    assert run(["classify", "--in", str(data)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ("slot rate" in err or "too short" in err)
 
 def test_import_builds_no_parser():
     # The parser is built at the first main call, so importing the package

@@ -16,6 +16,7 @@ from cyclodet import (
     DetectorConfig,
     GsmSynthConfig,
     IqBuffer,
+    IqFileMeta,
     LteSynthConfig,
     Standard,
     apply_channel,
@@ -23,14 +24,16 @@ from cyclodet import (
     detection_statistic,
     estimate_ccf,
     estimate_variance,
+    load_iq,
     mean_power_leakage,
+    save_iq,
     synth_gsm,
     synth_lte,
     synth_noise,
     threshold,
 )
-from cyclodet import detector
-from cyclodet.ccf_estimator import _phasor_table, cyclic_sum, unit_phasors
+from cyclodet import detector, iq_io
+from cyclodet.ccf_estimator import _phasor_table, _stacked_table, cyclic_sum, unit_phasors
 from cyclodet.detector import (
     _NULL_ALPHA_TS,
     _NULL_SEED,
@@ -383,37 +386,92 @@ _CAPTURE_RATES = (1625000 / 6 * 4, 1.92e6, 1.6e6)
 def test_classify_statistics_match_exact_sums():
     # Each statistic against |sum (p - mean p) phi| / M from correctly rounded
     # sums and exactly reduced phasor angles, within 1e-12 of sum|p - mean p| / M;
-    # sigma^2 is the plain mean of |r|^2, bit for bit.
+    # sigma^2 within 1e-15 of the correctly rounded mean of |r|^2.
     cfg = DetectorConfig(p_f=0.01)
     noise = synth_noise(200_000, 1.0, seed=8, sample_rate_hz=_CAPTURE_RATES[2])
     for r in (_gsm_rx(), _lte_rx(), noise):
-        report = classify(r, cfg)
-        p = np.abs(r.samples) ** 2
-        assert report.sigma_r_sq == float(np.mean(p))
-        centered = p - math.fsum(p) / r.m_r
-        scale = math.fsum(np.abs(centered)) / r.m_r
-        for d in report.decisions:
-            phasors = exact_phasors(d.standard.fundamental_cf_float * r.sampling_period_s, r.m_r)
-            terms = centered * phasors
-            exact = abs(complex(math.fsum(terms.real), math.fsum(terms.imag))) / r.m_r
-            assert abs(d.statistic - exact) <= 1e-12 * scale
+        _assert_exact(classify(r, cfg), np.abs(r.samples) ** 2, r.sample_rate_hz)
+
+
+def _assert_exact(report, p, rate):
+    """report's sigma^2 and statistics against correctly rounded sums of p."""
+    m = p.size
+    assert report.sigma_r_sq == pytest.approx(math.fsum(p) / m, rel=1e-15, abs=0)
+    centered = p - math.fsum(p) / m
+    scale = math.fsum(np.abs(centered)) / m
+    for d in report.decisions:
+        terms = centered * exact_phasors(d.standard.fundamental_cf_float / rate, m)
+        exact = abs(complex(math.fsum(terms.real), math.fsum(terms.imag))) / m
+        assert abs(d.statistic - exact) <= 1e-12 * scale
+
+
+@pytest.fixture(scope="module")
+def capture_records():
+    """GSM, LTE and noise records long enough for every capture length below."""
+    return {"gsm": _gsm_rx(num_slots=325), "lte": _lte_rx(num_slots=210),
+            "noise": synth_noise(200_003, 1.0, seed=9, sample_rate_hz=_CAPTURE_RATES[2])}
+
+
+@pytest.mark.parametrize("m", [2**14 - 1, 2**14, 2**16 + 1, 200_003])
+def test_classify_of_a_capture_file_matches_its_loaded_buffer(tmp_path, monkeypatch,
+                                                               capture_records, m):
+    # The one-pass route from the file against the loaded buffer: equal labels,
+    # statistics exact to the existing bound with |r|^2 = I^2 + Q^2 correctly
+    # rounded, and the same bits however the file is cut into read chunks.
+    cfg = DetectorConfig(p_f=0.01)
+    for name, r in capture_records.items():
+        path = tmp_path / f"{name}.iq"
+        save_iq(IqBuffer(samples=r.samples[:m], sample_rate_hz=r.sample_rate_hz), path)
+        report = classify(path, cfg)
+        assert report.m_r == m
+        assert report.label == classify(load_iq(path), cfg).label
+        squares = np.fromfile(path, "<f4").astype(np.float64) ** 2
+        _assert_exact(report, squares[0::2] + squares[1::2], r.sample_rate_hz)
+        for chunk in (2**14, 2**17):
+            monkeypatch.setattr(iq_io, "_READ_CHUNK", chunk)
+            assert classify(path, cfg) == report
+        monkeypatch.undo()
+
+
+def test_classify_of_a_capture_file_holds_memory_independent_of_its_length(tmp_path):
+    # The capture is read in chunks and never held whole: the traced peak of
+    # a 16 MB capture is that of a 2 MB one, plus its 2**14-block sums.
+    cfg = DetectorConfig(p_f=0.01)
+    rng = np.random.default_rng(4)
+    peaks = []
+    for m in (2**18, 2**21):
+        path = tmp_path / f"n{m}.iq"
+        rng.standard_normal(2 * m, dtype=np.float32).tofile(path)
+        IqFileMeta(sample_rate_hz=_CAPTURE_RATES[1], sample_count=m).write(f"{path}.meta")
+        classify(path, cfg)  # builds this rate's table outside the traced call
+        tracemalloc.start()
+        try:
+            classify(path, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 16 * 1024
+    assert peaks[1] <= 3 * 2**20
 
 
 def test_capture_rates_share_the_phasor_cache():
-    # Each profile at each rate needs its table: 6 tables, which the 16-entry
-    # cache holds, so a second round of the same rates builds none. Block-start
-    # phasors are exponentiated directly and cache nothing.
+    # Both profiles at one rate share one stacked table: 3 tables, which the
+    # 16-entry cache holds, so a second round of the same rates builds none.
+    # Block-start phasors are exponentiated directly, and no single-frequency
+    # table is built.
     cfg = DetectorConfig(p_f=0.01)
     buffers = [
         synth_noise(40_000, 1.0, seed=k, sample_rate_hz=fs) for k, fs in enumerate(_CAPTURE_RATES)
     ]
     _phasor_table.cache_clear()
+    _stacked_table.cache_clear()
     for r in buffers:
         classify(r, cfg)
-    misses = _phasor_table.cache_info().misses
+    misses = _stacked_table.cache_info().misses
     for r in buffers:
         classify(IqBuffer(samples=r.samples, sample_rate_hz=r.sample_rate_hz), cfg)
-    assert _phasor_table.cache_info().misses == misses == 6
+    assert _stacked_table.cache_info().misses == misses == 3
+    assert _phasor_table.cache_info().misses == 0
 
 
 def _decision_input(kind, snr_db, seed):
@@ -439,7 +497,7 @@ def _assert_scaled_decision(r, other, gain_sq):
     within that rounding of the threshold or of the other statistic."""
     cfg = DetectorConfig(p_f=0.01)
     a, b = classify(r, cfg), classify(other, cfg)
-    p = r.power
+    p = np.abs(r.samples) ** 2
     tol = 1e-12 * gain_sq * math.fsum(np.abs(p - math.fsum(p) / r.m_r)) / r.m_r
     assert b.sigma_r_sq == pytest.approx(gain_sq * a.sigma_r_sq, rel=1e-13)
     assert b.threshold == pytest.approx(gain_sq * a.threshold, rel=1e-13)

@@ -62,13 +62,3 @@ def test_iq_buffer_validation():
     with pytest.raises(ConfigurationError):
         IqBuffer(samples=np.ones((2, 2)), sample_rate_hz=1.0)
 
-
-def test_power_is_computed_once_and_read_only():
-    samples = np.array([3 + 4j, -1j, 0.5, 1e-3 + 2e-3j])
-    buf = IqBuffer(samples=samples, sample_rate_hz=1.0)
-    assert buf.power is buf.power
-    np.testing.assert_array_equal(buf.power, np.abs(samples) ** 2)
-    assert not buf.power.flags.writeable
-    with pytest.raises(ValueError):
-        buf.power[0] = 0.0
-    assert "power" not in repr(buf)  # a cached value, not a field
