@@ -24,7 +24,6 @@ from .detector import (
     DetectorConfig,
     ProfileDecision,
     classify,
-    detection_statistic,
     estimate_variance,
     mean_power_leakage,
     threshold,
@@ -79,7 +78,6 @@ __all__ = [
     "classify",
     "decimate",
     "default_sample_rate",
-    "detection_statistic",
     "draw_taps",
     "emit_figure_data",
     "estimate_ccf",

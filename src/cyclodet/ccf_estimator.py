@@ -119,14 +119,24 @@ def _stacked_table(alphas_ts: tuple[float, ...]) -> np.ndarray:
     return table
 
 
-def sample_chunks(r: "IqBuffer | str | os.PathLike") -> tuple[float, int, Iterator[np.ndarray]]:
-    """Sample rate, M_r and an iterator over the samples of a buffer or of a
-    cf32le capture file; a file is opened when its first chunk is read."""
+class Samples(NamedTuple):
+    """The sample rate, M_r and one pass of sample chunks of a buffer or of a
+    cf32le capture file, as ``sample_chunks`` opens them."""
+
+    sample_rate_hz: float
+    m_r: int
+    chunks: Iterator[np.ndarray]
+
+
+def sample_chunks(r: "IqBuffer | str | os.PathLike") -> Samples:
+    """Open a buffer or a cf32le capture file for one pass over its samples.
+    A file's sidecar and length are checked here; the file itself is opened
+    when its first chunk is read."""
     if isinstance(r, IqBuffer):
         starts = range(0, r.m_r, _GROUP)
-        return r.sample_rate_hz, r.m_r, (r.samples[s : s + _GROUP] for s in starts)
+        return Samples(r.sample_rate_hz, r.m_r, (r.samples[s : s + _GROUP] for s in starts))
     meta, count, chunks = read_chunks(r)
-    return meta.sample_rate_hz, count, chunks
+    return Samples(meta.sample_rate_hz, count, chunks)
 
 
 def _abs_squared(x: np.ndarray, out: np.ndarray, squares: "np.ndarray | None") -> None:
@@ -194,14 +204,16 @@ def _zero_lag_sums(
 
 
 def estimate_ccf(
-    r: "IqBuffer | str | os.PathLike", alpha_hz: "float | np.ndarray", tau_samples: int = 0
+    r: "IqBuffer | str | os.PathLike | Samples",
+    alpha_hz: "float | np.ndarray",
+    tau_samples: int = 0,
 ) -> CcfEstimate:
     """Estimate the CCF of ``r`` at one or more cyclic frequencies and one sample delay.
 
-    ``r`` is a buffer or the path of a cf32le capture; ``value`` has the
-    shape of ``alpha_hz``. The lag product is truncated at the record end
-    while the normalization stays 1/M_r; at tau = 0 (the detector's operating
-    point) the sum is exact.
+    ``r`` is a buffer, the path of a cf32le capture, or (at tau = 0 only)
+    the unread ``Samples`` of either; ``value`` has the shape of ``alpha_hz``.
+    The lag product is truncated at the record end while the normalization
+    stays 1/M_r; at tau = 0 (the detector's operating point) the sum is exact.
 
     At tau = 0 every cyclic frequency comes from one pass over the samples
     (``_zero_lag_sums``): a capture file is read once, in chunks, in memory
@@ -212,13 +224,15 @@ def estimate_ccf(
     """
     alphas = np.asarray(alpha_hz, dtype=np.float64)
     if tau_samples:
+        if isinstance(r, Samples):
+            raise ValueError("opened samples are summed at tau_samples = 0 only")
         buf = r if isinstance(r, IqBuffer) else load_iq(r)
         lag = _lag_product(buf, tau_samples)
         m = buf.m_r
         alphas_ts = alphas.ravel() * buf.sampling_period_s
         values = [cyclic_sum(lag, float(a)) / m for a in alphas_ts]
     else:
-        rate, m, chunks = sample_chunks(r)
+        rate, m, chunks = r if isinstance(r, Samples) else sample_chunks(r)
         alphas_ts = alphas.ravel() * (1.0 / rate)
         nonzero = tuple(float(a) for a in alphas_ts if a != 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite buffers reach sigma's check

@@ -80,33 +80,19 @@ def mean_power_leakage(alpha_hz: float, sample_rate_hz: float, m_r: int) -> comp
     )
 
 
-def detection_statistic(
-    r: IqBuffer, alpha_hz: float, sigma_r_sq: Optional[float] = None
-) -> float:
-    """|C_hat(alpha, 0)| with the mean-power leakage removed.
-
-    The received power leaks sigma^2 * D(alpha) into the estimate on finite
-    records; subtracting it keeps the noise-only statistic Rayleigh at any
-    (alpha, sample rate) combination, which the constant-false-alarm
-    thresholds rely on.
-    """
-    if sigma_r_sq is None:
-        sigma_r_sq = estimate_variance(r)
-    est = estimate_ccf(r, alpha_hz, 0)
-    leak = sigma_r_sq * mean_power_leakage(alpha_hz, r.sample_rate_hz, r.m_r)
-    return abs(est.value - leak)
-
-
 def null_statistics(
     rng: np.random.Generator, n: int, m_r: int, alpha_ts: float, noise_power: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Statistic at alpha_ts = alpha * T_s and mean power of each of n noise-only
-    records of length m_r. Under H0 |r(m)|^2 is exactly noise_power * Exp(1), so
-    a batch of records is the rows of one exponential draw, filled in order (the
-    records do not depend on the batch size); both outputs are linear in p.
-    Every batch is drawn into one reused buffer; each row's statistic is its
-    ``cyclic_sum``, blocked as ``estimate_ccf`` blocks its sums, less the
-    mean-power leakage that ``detection_statistic`` removes."""
+    records of length m_r.
+
+    Under H0 |r(m)|^2 is exactly noise_power * Exp(1), so the records are drawn
+    as unit exponentials p(m) and both outputs are scaled by noise_power at the
+    end. A batch of records is the rows of one exponential draw into one reused
+    buffer, filled in order, so the records do not depend on the batch size.
+    Each row's statistic is |cyclic_sum(p) / m_r - mean(p) D(alpha_ts)|: its
+    Ĉ(alpha, 0) less the mean-power leakage, the statistic ``classify``
+    computes for a record."""
     leak = mean_power_leakage(alpha_ts, 1.0, m_r)
     rows = min(n, max(1, _NULL_BATCH_SAMPLES // m_r))
     draws = np.empty((rows, m_r))
@@ -214,17 +200,20 @@ def minimum_samples(cfg: DetectorConfig, sample_rate_hz: float) -> int:
 def classify(r: "IqBuffer | str | os.PathLike", cfg: DetectorConfig) -> DecisionReport:
     """Test every configured profile's fundamental CF and label the record.
 
-    ``r`` is a buffer or the path of a cf32le capture. One ``estimate_ccf``
-    call gives sigma_r^2 = Ĉ(0, 0) and every profile's Ĉ(alpha, 0), so a
-    capture file is read once, in memory that does not grow with its length;
-    its |r|^2 is I^2 + Q^2 in float64, correctly rounded.
+    ``r`` is a buffer or the path of a cf32le capture. A capture's sidecar
+    is parsed once, and a refused rate or length raises before a sample is
+    read. One ``estimate_ccf`` call gives sigma_r^2 = Ĉ(0, 0) and every
+    profile's Ĉ(alpha, 0), so a capture file is read once, in memory that
+    does not grow with its length; its |r|^2 is I^2 + Q^2 in float64,
+    correctly rounded.
     Every profile shares one threshold, so the label goes to the profile
     with the largest statistic if that profile crosses it (the first listed
     on a tie), and stays unknown otherwise.
     Deterministic for fixed inputs; the empirical-null mode runs its Monte
     Carlo from a fixed internal seed.
     """
-    rate, m_r, _ = sample_chunks(r)
+    samples = sample_chunks(r)  # a capture's sidecar and length, read once
+    rate, m_r = samples.sample_rate_hz, samples.m_r
     for profile in cfg.profiles:
         if rate <= 2 * profile.fundamental_cf_float:
             raise ValueError(
@@ -239,11 +228,13 @@ def classify(r: "IqBuffer | str | os.PathLike", cfg: DetectorConfig) -> Decision
             f"{rate:g} Hz)"
         )
     alphas = [p.fundamental_cf_float for p in cfg.profiles]
-    est = estimate_ccf(r, [0.0, *alphas])
+    est = estimate_ccf(samples, [0.0, *alphas])
     sigma_r_sq = float(est.value[0].real)
     gamma = threshold(cfg, sigma_r_sq, m_r)
     decisions = []
     for profile, alpha, value in zip(cfg.profiles, alphas, est.value[1:]):
+        # Removing the power's leakage keeps the noise-only statistic Rayleigh
+        # at any (alpha, sample rate), which the CFAR threshold relies on.
         leak = sigma_r_sq * mean_power_leakage(alpha, rate, m_r)
         stat = abs(complex(value) - leak)
         decisions.append(ProfileDecision(profile, stat, detected=stat > gamma))

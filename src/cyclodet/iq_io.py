@@ -6,7 +6,9 @@ least ``sample_rate_hz``. Widely convertible from SDR capture tools.
 
 Decimation is a Kaiser windowed-sinc low-pass evaluated only at the samples
 it keeps: overlap-save blocks whose spectra are folded to the output rate
-before the inverse transform, run in batches of bounded size. The taps are
+before the inverse transform, run in batches of bounded size. The batches
+run on every CPU the process may use, one thread each, and the output is
+bit-identical for any CPU count; nothing about it can be set. The taps are
 designed in closed form (Kaiser's formulas) and the transforms are
 ``numpy.fft``, so the package needs numpy alone.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -210,7 +213,14 @@ def decimation_taps(factor: int) -> np.ndarray:
 
 
 _BLOCK_PER_TAP = 4  # overlap-save block length, in filter lengths
-_CHUNK_SAMPLES = 1 << 17  # input samples transformed per batch of blocks
+_CHUNK_SAMPLES = 1 << 16  # input samples transformed per batch of blocks
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
@@ -231,6 +241,12 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
     of them. Blocks are transformed in batches of about _CHUNK_SAMPLES input
     samples, so the working set does not grow with the buffer and the
     transform lengths depend on the factor alone.
+
+    The batches are independent, so they are shared among one thread per CPU
+    the process may run on (at most one per batch), each writing its own
+    slices of the output. The blocks and their arithmetic do not depend on
+    that count, so the output is bit-identical on any number of CPUs; there
+    is nothing to set.
     """
     if not 1 <= factor <= len(buf):
         raise ValueError(
@@ -247,33 +263,69 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
     sub = 1 << (need - 1).bit_length()  # power-of-two transforms are numpy's fastest
     n = sub * factor
     hop = n - overlap  # input samples per block, factor times its kept outputs
+    skip, kept = overlap // factor, hop // factor  # outputs dropped and kept per block
     spectrum = np.fft.fft(taps, n)
 
     x = buf.samples
     out = np.empty(-(-x.size // factor), dtype=np.complex128)
     per_chunk = max(1, _CHUNK_SAMPLES // hop)
-    # Buffers reused by every batch: fresh ones would fault in new pages each time.
-    seg = np.empty((per_chunk - 1) * hop + n, dtype=np.complex128)
-    frames = np.empty((per_chunk, n), dtype=np.complex128)
-    folded = np.empty((per_chunk, sub), dtype=np.complex128)
-    for first in range(0, out.size, per_chunk * hop // factor):
-        blocks = min(per_chunk, -(-(out.size - first) * factor // hop))
-        # Block b of this batch reads input samples lo + b*hop onwards.
-        lo = first * factor - delay
-        size = (blocks - 1) * hop + n
-        start, stop = max(lo, 0), min(lo + size, x.size)
-        seg[: start - lo] = 0
-        seg[start - lo : stop - lo] = x[start:stop]
-        seg[stop - lo : size] = 0
-        spec = frames[:blocks]
-        np.copyto(spec, sliding_window_view(seg[:size], n)[::hop])
-        np.fft.fft(spec, axis=-1, out=spec)
-        spec *= spectrum
-        fold = spec.reshape(blocks, factor, sub).sum(axis=1, out=folded[:blocks])
-        fold /= factor
-        kept = np.fft.ifft(fold, axis=-1, out=fold)[:, overlap // factor :]
-        count = min(kept.size, out.size - first)
-        out[first : first + count] = kept.reshape(-1)[:count]
+    firsts = range(0, out.size, per_chunk * kept)  # each batch's first output
+    workers = min(_cpu_count(), len(firsts))
+
+    def run(share: range, seg: np.ndarray, frames: np.ndarray, folded: np.ndarray) -> None:
+        for first in share:
+            blocks = min(per_chunk, -(-(out.size - first) // kept))
+            # Block b of this batch reads input samples lo + b*hop onwards.
+            lo = first * factor - delay
+            size = (blocks - 1) * hop + n
+            start, stop = max(lo, 0), min(lo + size, x.size)
+            src = x[lo : lo + size]
+            if start > lo or stop < lo + size:  # the batch reads past an edge of x
+                src = seg[:size]
+                src[: start - lo] = 0
+                src[start - lo : stop - lo] = x[start:stop]
+                src[stop - lo :] = 0
+            spec = np.fft.fft(sliding_window_view(src, n)[::hop], axis=-1, out=frames[:blocks])
+            spec *= spectrum
+            fold = spec.reshape(blocks, factor, sub).sum(axis=1, out=folded[:blocks])
+            fold /= factor
+            np.fft.ifft(fold, axis=-1, out=fold)
+            full, rest = divmod(min(blocks * kept, out.size - first), kept)
+            out[first : first + full * kept].reshape(full, kept)[...] = fold[:full, skip:]
+            if rest:
+                out[first + full * kept : first + full * kept + rest] = fold[full, skip : skip + rest]
+
+    # Every worker's buffers are allocated here, so no helper thread grows a
+    # malloc arena of its own, and reused by each of its batches: fresh ones
+    # would fault in new pages. The helpers call numpy alone.
+    shares = [
+        (
+            firsts[w::workers],
+            np.empty((per_chunk - 1) * hop + n, dtype=np.complex128),
+            np.empty((per_chunk, n), dtype=np.complex128),
+            np.empty((per_chunk, sub), dtype=np.complex128),
+        )
+        for w in range(workers)
+    ]
+    errors = []
+
+    def helper(*args) -> None:
+        try:
+            run(*args)
+        except BaseException as exc:  # re-raised in the caller after join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=helper, args=args) for args in shares[1:]]
+    try:
+        for thread in threads:
+            thread.start()
+        run(*shares[0])
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
     return IqBuffer(
         samples=out,
         sample_rate_hz=buf.sample_rate_hz / factor,

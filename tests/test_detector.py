@@ -21,7 +21,6 @@ from cyclodet import (
     Standard,
     apply_channel,
     classify,
-    detection_statistic,
     estimate_ccf,
     estimate_variance,
     load_iq,
@@ -259,14 +258,18 @@ def test_mean_power_leakage_zero_on_grid_and_one_at_dc():
     assert abs(mean_power_leakage(16.0 * fs / m, fs, m)) < 1e-12
 
 
+def detection_statistic(r, alpha_hz):
+    """Reference: |Ĉ(alpha, 0)| less the mean-power leakage sigma^2 D(alpha),
+    each from its own ``estimate_ccf`` call."""
+    leak = estimate_variance(r) * mean_power_leakage(alpha_hz, r.sample_rate_hz, r.m_r)
+    return abs(estimate_ccf(r, alpha_hz, 0).value - leak)
+
+
 def test_statistic_equals_corrected_ccf():
     r = synth_noise(5000, 1.0, seed=3, sample_rate_hz=1.92e6)
-    alpha = 2000.0
-    sigma = estimate_variance(r)
-    expected = abs(
-        estimate_ccf(r, alpha, 0).value - sigma * mean_power_leakage(alpha, r.sample_rate_hz, r.m_r)
-    )
-    assert detection_statistic(r, alpha) == pytest.approx(expected, rel=1e-12)
+    for d in classify(r, DetectorConfig(p_f=0.01)).decisions:
+        expected = detection_statistic(r, d.standard.fundamental_cf_float)
+        assert d.statistic == pytest.approx(expected, rel=1e-12)
 
 
 def test_statistic_matches_centered_dot_product():
@@ -452,6 +455,31 @@ def test_classify_of_a_capture_file_holds_memory_independent_of_its_length(tmp_p
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 16 * 1024
     assert peaks[1] <= 3 * 2**20
+
+
+def test_classify_of_a_capture_file_parses_its_sidecar_once(tmp_path, monkeypatch):
+    # The sidecar parsed for the rate and length refusals is the one summed:
+    # estimate_ccf receives the opened samples, not the path again.
+    path = tmp_path / "noise.iq"
+    save_iq(synth_noise(40_000, 1.0, seed=2, sample_rate_hz=_CAPTURE_RATES[1]), path)
+    reads = []
+    parse = IqFileMeta.read.__func__
+
+    def counted(cls, meta_path):
+        reads.append(meta_path)
+        return parse(cls, meta_path)
+
+    monkeypatch.setattr(IqFileMeta, "read", classmethod(counted))
+    report = classify(path, DetectorConfig(p_f=0.01))
+    assert reads == [f"{path}.meta"]
+    assert report.m_r == 40_000
+    short = tmp_path / "short.iq"
+    save_iq(synth_noise(1_000, 1.0, seed=3, sample_rate_hz=_CAPTURE_RATES[1]), short)
+    with pytest.raises(ValueError, match="too short"):
+        classify(short, DetectorConfig(p_f=0.01))
+    assert reads[1:] == [f"{short}.meta"]
+    with pytest.raises(ValueError, match="tau_samples = 0 only"):
+        estimate_ccf(detector.sample_chunks(path), 2000.0, 1)
 
 
 def test_capture_rates_share_the_phasor_cache():

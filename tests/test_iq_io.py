@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from cyclodet import (
     synth_noise,
 )
 import cyclodet
+from cyclodet import iq_io
 from cyclodet.iq_io import _READ_CHUNK, decimation_taps
 
 
@@ -349,10 +351,28 @@ def test_decimate_matches_documented_filter(seed, m, factor):
 
 @pytest.mark.parametrize("factor", [3, 4, 16])
 def test_decimate_batching_does_not_change_output(monkeypatch, factor):
-    x = synth_noise(100_003, 1.0, seed=factor, sample_rate_hz=1e6)
+    # Neither the batch size nor the number of threads sharing the batches
+    # changes a bit of the output, and no thread outlives the call.
+    x = synth_noise(300_001, 1.0, seed=factor, sample_rate_hz=1e6)
+    threads = threading.active_count()
     batched = decimate(x, factor).samples
-    monkeypatch.setattr("cyclodet.iq_io._CHUNK_SAMPLES", 1)  # one block per batch
-    np.testing.assert_array_equal(decimate(x, factor).samples, batched)
+    for chunk in (iq_io._CHUNK_SAMPLES, 1):  # 1: one block per batch
+        monkeypatch.setattr(iq_io, "_CHUNK_SAMPLES", chunk)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(iq_io, "_cpu_count", lambda: cpus)
+            np.testing.assert_array_equal(decimate(x, factor).samples, batched)
+            assert threading.active_count() == threads
+
+    def fail_in_helpers(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("helper thread failed")
+        return sliding_window_view(*args, **kwargs)
+
+    sliding_window_view = iq_io.sliding_window_view
+    monkeypatch.setattr(iq_io, "sliding_window_view", fail_in_helpers)
+    with pytest.raises(MemoryError, match="helper thread failed"):
+        decimate(x, factor)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("factor", [3, 4, 16])
