@@ -5,15 +5,15 @@
     C_hat(alpha, tau) = (1/M_r) * sum_m r(m) conj(r(m + tau)) exp(-j 2 pi alpha m T_s)
 
 at exact cyclic frequencies, so frequencies such as 26000/15 Hz need no grid
-tricks. Every sum is taken in blocks of 2**14 terms, each multiplied by a
-cached phasor table, and the block sums are rotated by the phasors of the
-block starts. At tau = 0 (the detector's operating point) one pass over the
-samples of a buffer or a capture file gives every requested frequency from
-one stacked table (``_zero_lag_sums``). ``cyclic_sum`` sums a lag product at
-one frequency, or each row of a batch of records, as the detector's
-noise-only batches need. ``ccf_spectrum`` evaluates the whole natural DFT
-grid alpha_k = k / (M_r T_s) at once for plots; the two agree on every grid
-point and that equivalence is enforced by tests.
+tricks. Every sum is taken by one kernel: ``_block_sums`` sums each block of
+2**14 real terms against one cached table that stacks the phasors of every
+requested frequency, and ``_rotate`` dots each frequency's block sums with
+the phasors of the block starts. It serves a buffer's or a capture file's
+|r|^2 at tau = 0 in one pass over the samples (``_zero_lag_sums``), the real
+and imaginary parts of a lag product at tau != 0, and each row of the
+detector's batches of noise-only records. ``ccf_spectrum`` evaluates the
+whole natural DFT grid alpha_k = k / (M_r T_s) at once for plots; the two
+agree on every grid point and that equivalence is enforced by tests.
 """
 
 from __future__ import annotations
@@ -33,60 +33,73 @@ from .signal_model import CcfEstimate, IqBuffer
 _PHASOR_BLOCK = 1 << 14
 
 
-@functools.lru_cache(maxsize=16)
-def _phasor_table(alpha_ts: float) -> np.ndarray:
-    """Read-only exp(-j 2 pi alpha_ts n) for n = 0..2**14-1.
-
-    The table depends on alpha_ts only, so Monte Carlo trials and captures at
-    the same rate share it. 16 tables of 256 KB bound the cache at 4 MB.
-    Built in place, so the table is the only array a cold build allocates.
-    """
-    table = np.arange(_PHASOR_BLOCK, dtype=np.complex128)
-    table *= -2j * np.pi * alpha_ts
-    np.exp(table, out=table)
-    table.flags.writeable = False
-    return table
-
-
 def unit_phasors(alpha_ts: float, m: int) -> np.ndarray:
     """exp(-j 2 pi alpha_ts n) for n = 0..m-1, as a new array.
 
-    Up to 2**14 angles are exponentiated directly. Longer arrays are built
-    block-wise from the cached table and the block-start phasors, themselves
-    unit phasors at the block rate, which keeps accumulated phase error below
-    ~1e-12 rad even for multi-million-sample buffers.
+    Up to 2**14 angles are exponentiated directly. A longer array is one
+    such block times its block-start phasors, themselves unit phasors at the
+    block rate, which keeps accumulated phase error below ~1e-12 rad even
+    for multi-million-sample buffers.
     """
     block = _PHASOR_BLOCK
     if m <= block:
         return np.exp(-2j * np.pi * alpha_ts * np.arange(m))
     carriers = unit_phasors((alpha_ts * block) % 1.0, -(-m // block))
-    return (carriers[:, None] * _phasor_table(alpha_ts)[None, :]).ravel()[:m]
+    return (carriers[:, None] * unit_phasors(alpha_ts, block)[None, :]).ravel()[:m]
 
 
-def cyclic_sum(lag: np.ndarray, alpha_ts: float) -> complex | np.ndarray:
-    """sum_m lag(m) exp(-j 2 pi alpha_ts m) along the last axis: one sum for
-    a record, one per row for a batch of records.
+@functools.lru_cache(maxsize=16)
+def _stacked_table(alphas_ts: tuple[float, ...]) -> np.ndarray:
+    """Read-only (2k, 2**14) table: the real and imaginary parts of
+    exp(-j 2 pi alpha_ts n) as rows 2i and 2i + 1, one pair per cyclic
+    frequency, so trials and captures at the same rates share it. 16 tables
+    of 256 KB per frequency bound the cache at 8 MB for two frequencies.
+    The rows are the cosine and sine of the angles, bit-equal to the parts
+    of ``np.exp``, built in place, so the table is nearly all that a cold
+    build allocates."""
+    table = np.empty((2 * len(alphas_ts), _PHASOR_BLOCK))
+    n = np.arange(_PHASOR_BLOCK)
+    for i, a in enumerate(alphas_ts):
+        angles = np.multiply(n, -2.0 * np.pi * a, out=table[2 * i])
+        np.sin(angles, out=table[2 * i + 1])
+        np.cos(angles, out=angles)
+    table.flags.writeable = False
+    return table
 
-    The phasor at sample b * 2**14 + i factors into the block-start phasor
-    exp(-j 2 pi alpha_ts 2**14 b) times the cached table entry i, so each
-    block is summed against the table and the block sums are dotted with the
-    block-start phasors. A real lag takes one real product with the table's
-    (2**14, 2) view; no phasor array as long as the record is built.
-    """
+
+def _block_sums(
+    p: np.ndarray, alphas_ts: tuple[float, ...], out: "np.ndarray | None" = None
+) -> np.ndarray:
+    """Sums of each 2**14-sample block of the real p (along its last axis)
+    against every row of ``_stacked_table(alphas_ts)``, shaped
+    (..., blocks, 2k): the real and imaginary parts of
+    sum_i p(b 2**14 + i) exp(-j 2 pi alpha_ts i) side by side per frequency.
+    Full blocks are one product with the table, the tail one more."""
     block = _PHASOR_BLOCK
-    n_full, tail = divmod(lag.shape[-1], block)
-    n_blocks = n_full + (tail > 0)
-    table = _phasor_table(alpha_ts)
-    sums = np.empty(lag.shape[:-1] + (n_blocks,), dtype=np.complex128)
-    kernel, out = table[:, None], sums[..., None]
-    if np.isrealobj(lag):
-        kernel = table.view(np.float64).reshape(block, 2)
-        out = sums.view(np.float64).reshape(sums.shape + (2,))
-    full = lag[..., : n_full * block].reshape(lag.shape[:-1] + (n_full, block))
-    np.matmul(full, kernel, out=out[..., :n_full, :])
+    table = _stacked_table(alphas_ts)
+    n_full, tail = divmod(p.shape[-1], block)
+    if out is None:
+        out = np.empty(p.shape[:-1] + (n_full + (tail > 0), table.shape[0]))
+    full = p[..., : n_full * block].reshape(p.shape[:-1] + (n_full, block))
+    np.matmul(full, table.T, out=out[..., :n_full, :])
     if tail:
-        np.matmul(lag[..., n_full * block :], kernel[:tail], out=out[..., n_full, :])
-    return sums @ unit_phasors((alpha_ts * block) % 1.0, n_blocks)
+        np.matmul(p[..., n_full * block :], table[:, :tail].T, out=out[..., n_full, :])
+    return out
+
+
+def _rotate(sums: np.ndarray, alphas_ts: tuple[float, ...]) -> np.ndarray:
+    """sum_m p(m) exp(-j 2 pi alpha_ts m) for each alpha_ts, shaped (..., k),
+    from the block sums of ``_block_sums``: the phasor at sample
+    b 2**14 + i factors into the block-start phasor exp(-j 2 pi alpha_ts 2**14 b)
+    times table entry i, so each frequency's block sums are dotted with its
+    block-start phasors (from a contiguous copy: a strided dot rounds
+    differently)."""
+    blocks = sums.view(np.complex128)
+    values = np.empty(blocks.shape[:-2] + (len(alphas_ts),), dtype=np.complex128)
+    for i, a in enumerate(alphas_ts):
+        carriers = unit_phasors((a * _PHASOR_BLOCK) % 1.0, blocks.shape[-2])
+        values[..., i] = np.ascontiguousarray(blocks[..., i]) @ carriers
+    return values
 
 
 def _lag_product(r: IqBuffer, tau_samples: int) -> np.ndarray:
@@ -103,20 +116,6 @@ def _lag_product(r: IqBuffer, tau_samples: int) -> np.ndarray:
 # but the record's last has one shape, and its rounding does not depend on
 # how the samples arrive.
 _GROUP = 4 * _PHASOR_BLOCK
-
-
-@functools.lru_cache(maxsize=16)
-def _stacked_table(alphas_ts: tuple[float, ...]) -> np.ndarray:
-    """Read-only (2k, 2**14) table: the real and imaginary parts of
-    exp(-j 2 pi alpha_ts n) as rows 2i and 2i + 1, one pair per cyclic
-    frequency, with the entries of ``_phasor_table``."""
-    phasors = np.arange(_PHASOR_BLOCK, dtype=np.complex128)[None, :] * (
-        -2j * np.pi * np.array(alphas_ts)[:, None]
-    )
-    np.exp(phasors, out=phasors)
-    table = np.stack((phasors.real, phasors.imag), axis=1).reshape(-1, _PHASOR_BLOCK)
-    table.flags.writeable = False
-    return table
 
 
 class Samples(NamedTuple):
@@ -154,34 +153,24 @@ def _abs_squared(x: np.ndarray, out: np.ndarray, squares: "np.ndarray | None") -
 
 def _zero_lag_sums(
     chunks: Iterator[np.ndarray], m: int, alphas_ts: tuple[float, ...]
-) -> tuple[float, list[complex]]:
+) -> tuple[float, np.ndarray]:
     """sum_m |r(m)|^2 and, for each alpha_ts, sum_m |r(m)|^2 exp(-j 2 pi alpha_ts m),
     in one pass over the chunks of r.
 
     |r|^2 is written into a scratch of _GROUP samples. Each filled group is
-    summed (``np.sum``; ``math.fsum`` over the group sums) and multiplied by
-    the stacked table of every alpha_ts at once, which gives each 2**14-block
-    sum; the block sums are dotted with the block-start phasors at the end.
-    Groups start at fixed sample positions, so the sums do not depend on how
-    the chunks are cut.
+    summed (``np.sum``; ``math.fsum`` over the group sums) and its block sums
+    are written into one array for the whole record. Groups start at fixed
+    sample positions, so the sums do not depend on how the chunks are cut.
     """
-    block = _PHASOR_BLOCK
-    table = _stacked_table(alphas_ts)
-    sums = np.empty((table.shape[0], -(-m // block)))
+    sums = np.empty((-(-m // _PHASOR_BLOCK), 2 * len(alphas_ts)))
     power = np.empty(min(m, _GROUP))
     squares = None  # the cf32 squares, made at the first cf32 chunk
-    totals, fill, done = [], 0, 0
+    totals, fill = [], 0
 
     def flush(p: np.ndarray) -> None:
-        nonlocal done
+        start = len(totals) * (_GROUP // _PHASOR_BLOCK)
         totals.append(np.sum(p))
-        full, tail = divmod(p.size, block)
-        if full:
-            np.matmul(table, p[: full * block].reshape(full, block).T,
-                      out=sums[:, done : done + full])
-        if tail:
-            np.matmul(table[:, :tail], p[full * block :], out=sums[:, done + full])
-        done += full + (tail > 0)
+        _block_sums(p, alphas_ts, out=sums[start : start + -(-p.size // _PHASOR_BLOCK)])
 
     for chunk in chunks:
         if squares is None and chunk.dtype == np.complex64:
@@ -196,11 +185,7 @@ def _zero_lag_sums(
                 fill = 0
     if fill:
         flush(power[:fill])
-    values = [
-        complex((sums[2 * i] + 1j * sums[2 * i + 1]) @ unit_phasors((a * block) % 1.0, done))
-        for i, a in enumerate(alphas_ts)
-    ]
-    return math.fsum(totals), values
+    return math.fsum(totals), _rotate(sums, alphas_ts)
 
 
 def estimate_ccf(
@@ -220,7 +205,8 @@ def estimate_ccf(
     that does not grow with its length, and Ĉ(0, 0), the mean power, is the
     ``math.fsum`` of the group sums of |r|^2. For a cf32 capture |r|^2 is
     I^2 + Q^2 in float64, correctly rounded. A nonzero tau loads a capture
-    with ``load_iq`` and sums its lag product once per cyclic frequency.
+    with ``load_iq`` and sums the real and imaginary parts of its lag
+    product against every cyclic frequency at once.
     """
     alphas = np.asarray(alpha_hz, dtype=np.float64)
     if tau_samples:
@@ -229,15 +215,16 @@ def estimate_ccf(
         buf = r if isinstance(r, IqBuffer) else load_iq(r)
         lag = _lag_product(buf, tau_samples)
         m = buf.m_r
-        alphas_ts = alphas.ravel() * buf.sampling_period_s
-        values = [cyclic_sum(lag, float(a)) / m for a in alphas_ts]
+        alphas_ts = tuple(float(a) for a in alphas.ravel() * buf.sampling_period_s)
+        real, imag = _rotate(_block_sums(np.stack((lag.real, lag.imag)), alphas_ts), alphas_ts)
+        values = (real + 1j * imag) / m
     else:
         rate, m, chunks = r if isinstance(r, Samples) else sample_chunks(r)
         alphas_ts = alphas.ravel() * (1.0 / rate)
         nonzero = tuple(float(a) for a in alphas_ts if a != 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite buffers reach sigma's check
             total, sums = _zero_lag_sums(chunks, m, nonzero)
-        sums = iter(sums)
+        sums = iter(sums.tolist())
         values = [(next(sums) if a != 0.0 else total) / m for a in alphas_ts]
     value = np.array(values, dtype=np.complex128).reshape(alphas.shape)
     return CcfEstimate(value=value if value.ndim else complex(value), m_r=m)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ccf_estimator import cyclic_sum, estimate_ccf, sample_chunks
+from .ccf_estimator import _block_sums, _rotate, estimate_ccf, sample_chunks
 from .errors import ConfigurationError
 from .signal_model import IqBuffer, Standard
 
@@ -90,10 +90,11 @@ def null_statistics(
     as unit exponentials p(m) and both outputs are scaled by noise_power at the
     end. A batch of records is the rows of one exponential draw into one reused
     buffer, filled in order, so the records do not depend on the batch size.
-    Each row's statistic is |cyclic_sum(p) / m_r - mean(p) D(alpha_ts)|: its
-    Ĉ(alpha, 0) less the mean-power leakage, the statistic ``classify``
-    computes for a record."""
+    Each row's statistic is |Ĉ(alpha, 0) - mean(p) D(alpha_ts)|: its CCF, from
+    the block sums that ``estimate_ccf`` takes, less the mean-power leakage,
+    the statistic ``classify`` computes for a record."""
     leak = mean_power_leakage(alpha_ts, 1.0, m_r)
+    alphas_ts = (alpha_ts,)
     rows = min(n, max(1, _NULL_BATCH_SAMPLES // m_r))
     draws = np.empty((rows, m_r))
     stats, powers = np.empty(n), np.empty(n)
@@ -101,7 +102,8 @@ def null_statistics(
         power = rng.standard_exponential(out=draws[: min(rows, n - start)])
         batch = slice(start, start + power.shape[0])
         powers[batch] = power.mean(axis=1)
-        stats[batch] = np.abs(cyclic_sum(power, alpha_ts) / m_r - powers[batch] * leak)
+        sums = _rotate(_block_sums(power, alphas_ts), alphas_ts)[:, 0]
+        stats[batch] = np.abs(sums / m_r - powers[batch] * leak)
     return stats * noise_power, powers * noise_power
 
 

@@ -15,7 +15,7 @@ from cyclodet import (
     spectrum_to_csv,
     synth_noise,
 )
-from cyclodet.ccf_estimator import _phasor_table, cyclic_sum, unit_phasors
+from cyclodet.ccf_estimator import _block_sums, _rotate, unit_phasors
 
 
 def _buf(samples, fs=1.0):
@@ -200,9 +200,6 @@ def test_phasor_cache_hands_out_fresh_arrays():
         expected = first.copy()
         first[:] = 0.0
         np.testing.assert_array_equal(unit_phasors(alpha_ts, m), expected)
-    assert not _phasor_table(alpha_ts).flags.writeable
-    # At most 16 tables of 2**14 complex128 values: 4 MB.
-    assert _phasor_table.cache_info().maxsize == 16
 
 
 def exact_phasors(alpha_ts, m):
@@ -224,13 +221,27 @@ def test_long_phasors_match_exact_angles(m):
         assert err <= 4 * np.pi * eps * (alpha_ts * (1 << 14) + -(-m // (1 << 14)))
 
 
+def _cyclic_sums(p, alphas_ts):
+    """sum_m p(m) exp(-j 2 pi alpha_ts m) along the last axis, for each
+    alpha_ts: a complex p as its real and imaginary parts, as estimate_ccf
+    sums a lag product."""
+    if np.isrealobj(p):
+        return _rotate(_block_sums(p, alphas_ts), alphas_ts)
+    real, imag = _rotate(_block_sums(np.stack((p.real, p.imag)), alphas_ts), alphas_ts)
+    return real + 1j * imag
+
+
 @pytest.mark.parametrize("m", [100, 1 << 14, 40_000])
 def test_cyclic_sum_of_a_batch_is_the_sums_of_its_rows(m):
     rng = np.random.default_rng(m)
     real = rng.standard_exponential((3, m))
+    alphas_ts = (0.0731, 0.4)
     for batch in (real, real * np.exp(2j * np.pi * rng.random((3, m)))):
-        rows = [cyclic_sum(row, 0.0731) for row in batch]
-        np.testing.assert_allclose(cyclic_sum(batch, 0.0731), rows, rtol=1e-12)
+        rows = [_cyclic_sums(row, alphas_ts) for row in batch]
+        np.testing.assert_allclose(_cyclic_sums(batch, alphas_ts), rows, rtol=1e-12)
+        # Each frequency's sums do not depend on the others in the table.
+        alone = _cyclic_sums(batch, alphas_ts[1:])[:, 0]
+        np.testing.assert_allclose(alone, [row[1] for row in rows], rtol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 40_000, 96_000])
@@ -253,10 +264,6 @@ def test_blocked_sum_matches_exact_sum(m):
         exact = complex(math.fsum(terms.real), math.fsum(terms.imag)) / m
         bound = 4 * np.finfo(np.float64).eps * math.fsum(np.abs(lag)) / m
         assert abs(estimate_ccf(r, alpha_hz, tau).value - exact) <= bound
-        # The estimator only reads the cached table.
-        np.testing.assert_array_equal(
-            _phasor_table(alpha_ts), np.exp(-2j * np.pi * alpha_ts * np.arange(1 << 14))
-        )
 
 
 def test_spectrum_csv_round_trip(tmp_path):

@@ -21,10 +21,12 @@ from cyclodet import (
     Standard,
     apply_channel,
     classify,
+    default_sample_rate,
     estimate_ccf,
     estimate_variance,
     load_iq,
     mean_power_leakage,
+    run_false_alarm,
     save_iq,
     synth_gsm,
     synth_lte,
@@ -32,7 +34,7 @@ from cyclodet import (
     threshold,
 )
 from cyclodet import detector, iq_io
-from cyclodet.ccf_estimator import _phasor_table, _stacked_table, cyclic_sum, unit_phasors
+from cyclodet.ccf_estimator import _block_sums, _rotate, _stacked_table, unit_phasors
 from cyclodet.detector import (
     _NULL_ALPHA_TS,
     _NULL_SEED,
@@ -284,7 +286,8 @@ def test_statistic_matches_centered_dot_product():
     assert detection_statistic(r, alpha) == pytest.approx(expected, rel=1e-12)
     batch = np.stack([power, 4.0 * power])
     leak = batch.mean(axis=1) * mean_power_leakage(alpha, 1e6, r.m_r)
-    stats = np.abs(cyclic_sum(batch, alpha / 1e6) / r.m_r - leak)
+    alphas_ts = (alpha / 1e6,)
+    stats = np.abs(_rotate(_block_sums(batch, alphas_ts), alphas_ts)[:, 0] / r.m_r - leak)
     np.testing.assert_allclose(stats, [expected, 4.0 * expected], rtol=1e-12)
 
 
@@ -482,16 +485,34 @@ def test_classify_of_a_capture_file_parses_its_sidecar_once(tmp_path, monkeypatc
         estimate_ccf(detector.sample_chunks(path), 2000.0, 1)
 
 
+def test_stacked_table_holds_the_phasors_of_each_frequency():
+    # Rows 2i and 2i + 1 are the real and imaginary parts of the i-th
+    # frequency's phasors, bit for bit: both profiles at each capture rate,
+    # each profile at its trial rate, and the empirical-null frequency.
+    keys = [tuple(s.fundamental_cf_float / fs for s in Standard) for fs in _CAPTURE_RATES]
+    keys += [(s.fundamental_cf_float / default_sample_rate(s),) for s in Standard]
+    keys.append((_NULL_ALPHA_TS,))
+    for alphas_ts in keys:
+        table = _stacked_table(alphas_ts)
+        assert table.shape == (2 * len(alphas_ts), 1 << 14)
+        assert not table.flags.writeable
+        for i, a in enumerate(alphas_ts):
+            phasors = np.exp(-2j * np.pi * a * np.arange(1 << 14))
+            np.testing.assert_array_equal(table[2 * i], phasors.real)
+            np.testing.assert_array_equal(table[2 * i + 1], phasors.imag)
+    # At most 16 tables; at two frequencies each, 8 MB.
+    assert _stacked_table.cache_info().maxsize == 16
+
+
 def test_capture_rates_share_the_phasor_cache():
     # Both profiles at one rate share one stacked table: 3 tables, which the
     # 16-entry cache holds, so a second round of the same rates builds none.
-    # Block-start phasors are exponentiated directly, and no single-frequency
-    # table is built.
+    # Noise-only runs take one table per profile, and a second run of each
+    # builds none either.
     cfg = DetectorConfig(p_f=0.01)
     buffers = [
         synth_noise(40_000, 1.0, seed=k, sample_rate_hz=fs) for k, fs in enumerate(_CAPTURE_RATES)
     ]
-    _phasor_table.cache_clear()
     _stacked_table.cache_clear()
     for r in buffers:
         classify(r, cfg)
@@ -499,7 +520,10 @@ def test_capture_rates_share_the_phasor_cache():
     for r in buffers:
         classify(IqBuffer(samples=r.samples, sample_rate_hz=r.sample_rate_hz), cfg)
     assert _stacked_table.cache_info().misses == misses == 3
-    assert _phasor_table.cache_info().misses == 0
+    for seed in (0, 1):
+        for profile in Standard:
+            run_false_alarm(1.0, 2000, 0.01, 5, profile=profile, master_seed=seed)
+        assert _stacked_table.cache_info().misses == 3 + len(Standard)
 
 
 def _decision_input(kind, snr_db, seed):
