@@ -8,12 +8,13 @@ at exact cyclic frequencies, so frequencies such as 26000/15 Hz need no grid
 tricks. Every sum is taken by one kernel: ``_block_sums`` sums each block of
 2**14 real terms against one cached table that stacks the phasors of every
 requested frequency, and ``_rotate`` dots each frequency's block sums with
-the phasors of the block starts. It serves a buffer's or a capture file's
-|r|^2 at tau = 0 in one pass over the samples (``_zero_lag_sums``), the real
-and imaginary parts of a lag product at tau != 0, and each row of the
-detector's batches of noise-only records. ``ccf_spectrum`` evaluates the
-whole natural DFT grid alpha_k = k / (M_r T_s) at once for plots; the two
-agree on every grid point and that equivalence is enforced by tests.
+the phasors of the block starts. It serves |r|^2 at tau = 0, one chunk of a
+buffer or a capture file at a time as ``iq_io.open_samples`` cuts them
+(``_zero_lag_sums``), the real and imaginary parts of a lag product at
+tau != 0, and each row of the detector's batches of noise-only records.
+``ccf_spectrum`` evaluates the whole natural DFT grid alpha_k = k / (M_r T_s)
+at once for plots; the two agree on every grid point and that equivalence is
+enforced by tests.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .iq_io import load_iq, read_chunks
+from .iq_io import Samples, open_samples
 from .signal_model import CcfEstimate, IqBuffer
 
 _PHASOR_BLOCK = 1 << 14
@@ -112,32 +112,6 @@ def _lag_product(r: IqBuffer, tau_samples: int) -> np.ndarray:
     return np.abs(r.samples) ** 2
 
 
-# Samples of |r|^2 summed per product: whole phasor blocks, so every product
-# but the record's last has one shape, and its rounding does not depend on
-# how the samples arrive.
-_GROUP = 4 * _PHASOR_BLOCK
-
-
-class Samples(NamedTuple):
-    """The sample rate, M_r and one pass of sample chunks of a buffer or of a
-    cf32le capture file, as ``sample_chunks`` opens them."""
-
-    sample_rate_hz: float
-    m_r: int
-    chunks: Iterator[np.ndarray]
-
-
-def sample_chunks(r: "IqBuffer | str | os.PathLike") -> Samples:
-    """Open a buffer or a cf32le capture file for one pass over its samples.
-    A file's sidecar and length are checked here; the file itself is opened
-    when its first chunk is read."""
-    if isinstance(r, IqBuffer):
-        starts = range(0, r.m_r, _GROUP)
-        return Samples(r.sample_rate_hz, r.m_r, (r.samples[s : s + _GROUP] for s in starts))
-    meta, count, chunks = read_chunks(r)
-    return Samples(meta.sample_rate_hz, count, chunks)
-
-
 def _abs_squared(x: np.ndarray, out: np.ndarray, squares: "np.ndarray | None") -> None:
     """|x|^2 into out. A cf32 sample's I^2 + Q^2 is formed in float64, where
     both squares are exact, so the sum is correctly rounded."""
@@ -157,69 +131,63 @@ def _zero_lag_sums(
     """sum_m |r(m)|^2 and, for each alpha_ts, sum_m |r(m)|^2 exp(-j 2 pi alpha_ts m),
     in one pass over the chunks of r.
 
-    |r|^2 is written into a scratch of _GROUP samples. Each filled group is
-    summed (``np.sum``; ``math.fsum`` over the group sums) and its block sums
-    are written into one array for the whole record. Groups start at fixed
-    sample positions, so the sums do not depend on how the chunks are cut.
+    Every chunk but the last is as long as the first, a whole number of
+    2**14-sample blocks (the grid of ``open_samples``). Each chunk's |r|^2 is
+    written into one reused scratch and summed (``np.sum``; ``math.fsum``
+    over the chunk sums), and its block sums are written into one array for
+    the whole record. The iterator is read to its end, so a capture's
+    checks after its last chunk run.
     """
     sums = np.empty((-(-m // _PHASOR_BLOCK), 2 * len(alphas_ts)))
-    power = np.empty(min(m, _GROUP))
-    squares = None  # the cf32 squares, made at the first cf32 chunk
-    totals, fill = [], 0
-
-    def flush(p: np.ndarray) -> None:
-        start = len(totals) * (_GROUP // _PHASOR_BLOCK)
+    power = squares = None  # made at the first chunk; squares for cf32 only
+    totals = []
+    for i, chunk in enumerate(chunks):
+        if power is None:
+            power = np.empty(chunk.size)
+            if chunk.dtype == np.complex64:
+                squares = np.empty(2 * chunk.size)
+        p = power[: chunk.size]
+        _abs_squared(chunk, p, squares)
         totals.append(np.sum(p))
+        start = i * (power.size // _PHASOR_BLOCK)
         _block_sums(p, alphas_ts, out=sums[start : start + -(-p.size // _PHASOR_BLOCK)])
-
-    for chunk in chunks:
-        if squares is None and chunk.dtype == np.complex64:
-            squares = np.empty(2 * power.size)
-        pos = 0
-        while pos < chunk.size:
-            take = min(chunk.size - pos, _GROUP - fill)
-            _abs_squared(chunk[pos : pos + take], power[fill : fill + take], squares)
-            fill, pos = fill + take, pos + take
-            if fill == _GROUP:
-                flush(power)
-                fill = 0
-    if fill:
-        flush(power[:fill])
     return math.fsum(totals), _rotate(sums, alphas_ts)
 
 
 def estimate_ccf(
-    r: "IqBuffer | str | os.PathLike | Samples",
+    r: "IqBuffer | Samples",
     alpha_hz: "float | np.ndarray",
     tau_samples: int = 0,
 ) -> CcfEstimate:
     """Estimate the CCF of ``r`` at one or more cyclic frequencies and one sample delay.
 
-    ``r`` is a buffer, the path of a cf32le capture, or (at tau = 0 only)
-    the unread ``Samples`` of either; ``value`` has the shape of ``alpha_hz``.
-    The lag product is truncated at the record end while the normalization
-    stays 1/M_r; at tau = 0 (the detector's operating point) the sum is exact.
+    ``r`` is a buffer or (at tau = 0 only) the unread ``Samples`` of a
+    buffer or a cf32le capture from ``open_samples``; ``value`` has the
+    shape of ``alpha_hz``. The lag product is truncated at the record end
+    while the normalization stays 1/M_r; at tau = 0 (the detector's
+    operating point) the sum is exact.
 
-    At tau = 0 every cyclic frequency comes from one pass over the samples
-    (``_zero_lag_sums``): a capture file is read once, in chunks, in memory
-    that does not grow with its length, and Ĉ(0, 0), the mean power, is the
-    ``math.fsum`` of the group sums of |r|^2. For a cf32 capture |r|^2 is
-    I^2 + Q^2 in float64, correctly rounded. A nonzero tau loads a capture
-    with ``load_iq`` and sums the real and imaginary parts of its lag
-    product against every cyclic frequency at once.
+    At tau = 0 every cyclic frequency comes from one pass over the chunks
+    (``_zero_lag_sums``): a capture file is read once, in memory that does
+    not grow with its length, and Ĉ(0, 0), the mean power, is the
+    ``math.fsum`` of the chunk sums of |r|^2. For a cf32 capture |r|^2 is
+    I^2 + Q^2 in float64, correctly rounded. A nonzero tau sums the real and
+    imaginary parts of the buffer's lag product against every cyclic
+    frequency at once.
     """
+    if not isinstance(r, (IqBuffer, Samples)):
+        raise TypeError(f"r must be an IqBuffer or opened Samples, got {type(r).__name__}")
     alphas = np.asarray(alpha_hz, dtype=np.float64)
     if tau_samples:
-        if isinstance(r, Samples):
+        if not isinstance(r, IqBuffer):
             raise ValueError("opened samples are summed at tau_samples = 0 only")
-        buf = r if isinstance(r, IqBuffer) else load_iq(r)
-        lag = _lag_product(buf, tau_samples)
-        m = buf.m_r
-        alphas_ts = tuple(float(a) for a in alphas.ravel() * buf.sampling_period_s)
+        lag = _lag_product(r, tau_samples)
+        m = r.m_r
+        alphas_ts = tuple(float(a) for a in alphas.ravel() * r.sampling_period_s)
         real, imag = _rotate(_block_sums(np.stack((lag.real, lag.imag)), alphas_ts), alphas_ts)
         values = (real + 1j * imag) / m
     else:
-        rate, m, chunks = r if isinstance(r, Samples) else sample_chunks(r)
+        rate, _, m, chunks = open_samples(r) if isinstance(r, IqBuffer) else r
         alphas_ts = alphas.ravel() * (1.0 / rate)
         nonzero = tuple(float(a) for a in alphas_ts if a != 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite buffers reach sigma's check

@@ -16,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .ccf_estimator import _block_sums, _rotate, estimate_ccf, sample_chunks
+from .ccf_estimator import _block_sums, _rotate, estimate_ccf
 from .errors import ConfigurationError
+from .iq_io import open_samples
 from .signal_model import IqBuffer, Standard
 
 THRESHOLD_MODES = ("calibrated", "empirical_null")
@@ -202,25 +203,32 @@ def minimum_samples(cfg: DetectorConfig, sample_rate_hz: float) -> int:
 def classify(r: "IqBuffer | str | os.PathLike", cfg: DetectorConfig) -> DecisionReport:
     """Test every configured profile's fundamental CF and label the record.
 
-    ``r`` is a buffer or the path of a cf32le capture. A capture's sidecar
-    is parsed once, and a refused rate or length raises before a sample is
-    read. One ``estimate_ccf`` call gives sigma_r^2 = Ĉ(0, 0) and every
-    profile's Ĉ(alpha, 0), so a capture file is read once, in memory that
-    does not grow with its length; its |r|^2 is I^2 + Q^2 in float64,
-    correctly rounded.
+    ``r`` is a buffer or the path of a cf32le capture, opened once by
+    ``open_samples``, so a capture's sidecar is parsed once. A profile is
+    refused when its slot rate alpha is less than one bin (f_s / M_r) below
+    its image f_s - alpha, (f_s - 2 alpha) M_r < f_s, which covers every
+    alpha at or above Nyquist; so is a record too short to resolve the
+    slowest slot rate. Both raise before a sample is read. Within one bin
+    the image folds onto alpha, the noise-only statistic is no longer
+    Rayleigh and the threshold would not hold its false-alarm rate. One
+    ``estimate_ccf`` call gives sigma_r^2 = Ĉ(0, 0) and every profile's
+    Ĉ(alpha, 0), so a capture file is read once, in memory that does not
+    grow with its length; its |r|^2 is I^2 + Q^2 in float64, correctly
+    rounded.
     Every profile shares one threshold, so the label goes to the profile
     with the largest statistic if that profile crosses it (the first listed
     on a tie), and stays unknown otherwise.
     Deterministic for fixed inputs; the empirical-null mode runs its Monte
     Carlo from a fixed internal seed.
     """
-    samples = sample_chunks(r)  # a capture's sidecar and length, read once
+    samples = open_samples(r)
     rate, m_r = samples.sample_rate_hz, samples.m_r
     for profile in cfg.profiles:
-        if rate <= 2 * profile.fundamental_cf_float:
+        alpha = profile.fundamental_cf_float
+        if (rate - 2 * alpha) * m_r < rate:
             raise ValueError(
-                f"sample rate {rate:g} Hz is at or below twice the "
-                f"{profile.value} slot rate {profile.fundamental_cf_float:g} Hz"
+                f"sample rate {rate:g} Hz is not one bin ({rate / m_r:g} Hz at {m_r} "
+                f"samples) above twice the {profile.value} slot rate {alpha:g} Hz"
             )
     need = minimum_samples(cfg, rate)
     if m_r < need:

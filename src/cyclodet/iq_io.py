@@ -3,6 +3,8 @@
 The one interchange format is interleaved 32-bit little-endian IEEE-754
 floats, I then Q, with a ``key=value`` sidecar ``<file>.meta`` carrying at
 least ``sample_rate_hz``. Widely convertible from SDR capture tools.
+``open_samples`` is the one sample source: a buffer or a capture, cut on
+one grid of chunks, a capture's read and checked one at a time.
 
 Decimation is a Kaiser windowed-sinc low-pass evaluated only at the samples
 it keeps: overlap-save blocks whose spectra are folded to the output rate
@@ -19,7 +21,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,10 +57,12 @@ class IqFileMeta:
     @classmethod
     def read(cls, meta_path) -> "IqFileMeta":
         """Parse a sidecar; every failure is a FormatError naming the file."""
-        if not os.path.exists(meta_path):
-            raise FormatError(f"{meta_path}: sidecar metadata file is missing")
         fields = {}  # undecodable bytes fail below as a malformed line or value
-        with open(meta_path, encoding="utf-8", errors="replace") as fh:
+        try:
+            fh = open(meta_path, encoding="utf-8", errors="replace")
+        except FileNotFoundError:
+            raise FormatError(f"{meta_path}: sidecar metadata file is missing") from None
+        with fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -115,38 +119,54 @@ def save_iq(buf: IqBuffer, path) -> None:
     ).write(_meta_path(path))
 
 
-_READ_CHUNK = 1 << 16  # samples read and checked at a time, a multiple of 2**14
+# Samples per chunk: whole 2**14-sample phasor blocks, so the block sums of
+# each chunk start on a block of the record.
+_READ_CHUNK = 1 << 16
 
 
-def read_chunks(path) -> tuple[IqFileMeta, int, Iterator[np.ndarray]]:
-    """Open a cf32le capture: its sidecar, its sample count and an iterator
-    over its samples, read once, in checked chunks.
+class Samples(NamedTuple):
+    """One pass over the samples of a buffer or of a cf32le capture file, as
+    ``open_samples`` opens them."""
 
-    Refused at once, naming the file: a length that is not whole samples, an
-    empty capture, and a ``sample_count`` that differs from the data (a
-    capture cut short by whole samples). The iterator reads _READ_CHUNK
-    samples at a time, from sample 0, into one reused complex64 buffer that
-    is valid until the next chunk; it refuses the chunk that holds a
-    non-finite sample, a file that ends before its first measured length,
-    and, after the last chunk, a capture of zero samples only. The file is
-    opened when the first chunk is read.
+    sample_rate_hz: float
+    center_freq_hz: Optional[float]
+    m_r: int
+    chunks: Iterator[np.ndarray]
+
+
+def open_samples(r: "IqBuffer | str | os.PathLike") -> Samples:
+    """Open a buffer or a cf32le capture for one pass over its samples, in
+    chunks of _READ_CHUNK samples from sample 0 (the last may be shorter).
+
+    A capture's sidecar is parsed here, and refused at once, naming the
+    file: a length that is not whole samples, an empty capture, and a
+    ``sample_count`` that differs from the data (a capture cut short by
+    whole samples). The file is opened when the first chunk is read; each
+    chunk is read into one reused complex64 buffer that is valid until the
+    next. The chunk that holds a non-finite sample is refused, so is a file
+    that ends before its first measured length, and, after the last chunk,
+    a capture of zero samples only.
     """
-    meta = IqFileMeta.read(_meta_path(path))
-    size = os.path.getsize(path)
+    if isinstance(r, IqBuffer):
+        starts = range(0, r.m_r, _READ_CHUNK)
+        chunks = (r.samples[s : s + _READ_CHUNK] for s in starts)
+        return Samples(r.sample_rate_hz, r.center_freq_hz, r.m_r, chunks)
+    meta = IqFileMeta.read(_meta_path(r))
+    size = os.path.getsize(r)
     if size % _BYTES_PER_SAMPLE != 0:
         raise FormatError(
-            f"{path}: length {size} bytes is not a whole number of "
+            f"{r}: length {size} bytes is not a whole number of "
             f"{_BYTES_PER_SAMPLE}-byte cf32le samples"
         )
     count = size // _BYTES_PER_SAMPLE
     if count == 0:
-        raise FormatError(f"{path}: capture holds no samples")
+        raise FormatError(f"{r}: capture holds no samples")
     if meta.sample_count is not None and meta.sample_count != count:
         raise FormatError(
-            f"{path}: holds {count} samples, but {_meta_path(path)} declares "
+            f"{r}: holds {count} samples, but {_meta_path(r)} declares "
             f"sample_count={meta.sample_count}"
         )
-    return meta, count, _checked_chunks(path, count)
+    return Samples(meta.sample_rate_hz, meta.center_freq_hz, count, _checked_chunks(r, count))
 
 
 def _checked_chunks(path, count: int) -> Iterator[np.ndarray]:
@@ -169,22 +189,15 @@ def _checked_chunks(path, count: int) -> Iterator[np.ndarray]:
 
 
 def load_iq(path) -> IqBuffer:
-    """Read a cf32le capture and its sidecar into an IqBuffer.
-
-    The samples pass every check of ``read_chunks`` and are widened chunk by
-    chunk into the complex128 output, so no full-length float32 copy is made.
+    """Read a cf32le capture and its sidecar into an IqBuffer: the chunks of
+    ``open_samples``, with every check it runs, widened one by one into the
+    complex128 output, so no full-length float32 copy is made.
     """
-    meta, count, chunks = read_chunks(path)
+    rate, center, count, chunks = open_samples(path)
     samples = np.empty(count, dtype=np.complex128)
-    start = 0
-    for part in chunks:
-        samples[start : start + part.size] = part
-        start += part.size
-    return IqBuffer(
-        samples=samples,
-        sample_rate_hz=meta.sample_rate_hz,
-        center_freq_hz=meta.center_freq_hz,
-    )
+    for i, part in enumerate(chunks):
+        samples[i * _READ_CHUNK : i * _READ_CHUNK + part.size] = part
+    return IqBuffer(samples=samples, sample_rate_hz=rate, center_freq_hz=center)
 
 
 _STOPBAND_DB = 70.0  # design margin beyond the 60 dB requirement

@@ -513,6 +513,23 @@ def test_decimate_refuses_factor_above_capture_length(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("samples,code", [(1_000, 2), (1_100, 1)])
+def test_classify_refuses_a_slot_rate_within_one_bin_of_nyquist(tmp_path, capsys, samples, code):
+    # GSM alone at 3,470 Hz: 0.96 bins from its image at 1,000 samples, a
+    # usage error found before the samples are read; 1.06 bins at 1,100.
+    data = tmp_path / "n.iq"
+    rng = np.random.default_rng(0)
+    (rng.standard_normal(samples) + 1j * rng.standard_normal(samples)).astype("<c8").tofile(data)
+    IqFileMeta(sample_rate_hz=3470.0, sample_count=samples).write(f"{data}.meta")
+    assert run(["classify", "--in", str(data), "--profiles", "gsm", "--json"]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == ""
+        assert "3470 Hz is not one bin" in err and "gsm" in err
+    else:
+        assert json.loads(out)["m_r"] == samples
+
+
 @pytest.mark.parametrize("rate,code", [(3000.0, 2), (4001.0, 1)])
 def test_classify_refuses_slot_rate_above_nyquist(tmp_path, capsys, rate, code):
     # At 3 kHz LTE's 2 kHz line aliases, though the statistics stay finite;

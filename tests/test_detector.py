@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import binomtest, ks_2samp
 
 from cyclodet import (
     ChannelConfig,
@@ -342,6 +342,33 @@ def test_classify_rejects_slot_rate_above_nyquist():
     assert all(np.isfinite(d.statistic) for d in report.decisions)
 
 
+def test_classify_refuses_a_slot_rate_within_one_bin_of_nyquist():
+    # At 3,470 Hz GSM's slot rate is (3470 - 2 * 1733.3) / 3470 * M_r bins
+    # from its image at -alpha: 0.96 bins at 1,000 samples, refused, and
+    # 1.06 bins at 1,100 samples, classified.
+    cfg = DetectorConfig(p_f=0.01, profiles=("gsm",))
+    samples = synth_noise(1_100, 1.0, seed=5, sample_rate_hz=3470.0).samples
+    with pytest.raises(ValueError, match=r"3470 Hz is not one bin .*1000 samples.*gsm"):
+        classify(IqBuffer(samples=samples[:1_000], sample_rate_hz=3470.0), cfg)
+    report = classify(IqBuffer(samples=samples, sample_rate_hz=3470.0), cfg)
+    assert report.m_r == 1_100 and np.isfinite(report.decisions[0].statistic)
+
+
+@pytest.mark.parametrize("bins,holds", [(0.4, False), (1, True), (2, True)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_false_alarm_rate_holds_from_one_bin_below_nyquist(seed, bins, holds):
+    # The alarm count of 20,000 noise-only records against the calibrated
+    # threshold, by a two-sided exact binomial test at p_f: it holds at the
+    # closest case classify accepts, (1 - 2 alpha T_s) M_r = 1, and one bin
+    # further, and fails at 0.4 bins (a rate near 2.3 p_f), which classify
+    # refuses.
+    n, m_r, p_f = 20_000, 2_000, 0.01
+    alpha_ts = (1 - bins / m_r) / 2
+    stats, powers = null_statistics(np.random.default_rng(seed), n, m_r, alpha_ts, 1.0)
+    alarms = int(np.count_nonzero(stats > powers * np.sqrt(-np.log(p_f) / m_r)))
+    assert (binomtest(alarms, n, p_f).pvalue > 1e-3) == holds
+
+
 def test_classify_rejects_non_finite_power():
     # One inf sample makes the mean power inf; the threshold refuses it
     # rather than returning "no detection" with NaN statistics.
@@ -419,11 +446,10 @@ def capture_records():
 
 
 @pytest.mark.parametrize("m", [2**14 - 1, 2**14, 2**16 + 1, 200_003])
-def test_classify_of_a_capture_file_matches_its_loaded_buffer(tmp_path, monkeypatch,
-                                                               capture_records, m):
+def test_classify_of_a_capture_file_matches_its_loaded_buffer(tmp_path, capture_records, m):
     # The one-pass route from the file against the loaded buffer: equal labels,
-    # statistics exact to the existing bound with |r|^2 = I^2 + Q^2 correctly
-    # rounded, and the same bits however the file is cut into read chunks.
+    # and statistics exact to the existing bound with |r|^2 = I^2 + Q^2
+    # correctly rounded.
     cfg = DetectorConfig(p_f=0.01)
     for name, r in capture_records.items():
         path = tmp_path / f"{name}.iq"
@@ -433,10 +459,22 @@ def test_classify_of_a_capture_file_matches_its_loaded_buffer(tmp_path, monkeypa
         assert report.label == classify(load_iq(path), cfg).label
         squares = np.fromfile(path, "<f4").astype(np.float64) ** 2
         _assert_exact(report, squares[0::2] + squares[1::2], r.sample_rate_hz)
-        for chunk in (2**14, 2**17):
-            monkeypatch.setattr(iq_io, "_READ_CHUNK", chunk)
-            assert classify(path, cfg) == report
-        monkeypatch.undo()
+
+
+def test_buffers_and_captures_open_on_one_chunk_grid(tmp_path):
+    # A buffer and a capture file are cut alike: every chunk but the last is
+    # _READ_CHUNK samples, a whole number of 2**14-sample phasor blocks, so
+    # the block sums of each chunk start on a block of the record.
+    assert iq_io._READ_CHUNK % 2**14 == 0
+    m = 2 * iq_io._READ_CHUNK + 1234
+    buf = synth_noise(m, 1.0, seed=6, sample_rate_hz=_CAPTURE_RATES[1])
+    path = tmp_path / "grid.iq"
+    save_iq(buf, path)
+    for source in (buf, path):
+        samples = iq_io.open_samples(source)
+        assert (samples.sample_rate_hz, samples.m_r) == (buf.sample_rate_hz, m)
+        sizes = [chunk.size for chunk in samples.chunks]
+        assert sizes == [iq_io._READ_CHUNK, iq_io._READ_CHUNK, 1234]
 
 
 def test_classify_of_a_capture_file_holds_memory_independent_of_its_length(tmp_path):
@@ -482,7 +520,9 @@ def test_classify_of_a_capture_file_parses_its_sidecar_once(tmp_path, monkeypatc
         classify(short, DetectorConfig(p_f=0.01))
     assert reads[1:] == [f"{short}.meta"]
     with pytest.raises(ValueError, match="tau_samples = 0 only"):
-        estimate_ccf(detector.sample_chunks(path), 2000.0, 1)
+        estimate_ccf(iq_io.open_samples(path), 2000.0, 1)
+    with pytest.raises(TypeError, match="IqBuffer or opened Samples"):
+        estimate_ccf(path, 2000.0)  # a capture is opened, or loaded, first
 
 
 def test_stacked_table_holds_the_phasors_of_each_frequency():

@@ -106,7 +106,7 @@ def test_missing_or_bad_sidecar(tmp_path):
     save_iq(IqBuffer(samples=np.ones(4), sample_rate_hz=1000.0), data)
     meta = tmp_path / "c.iq.meta"
     meta.unlink()
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="sidecar metadata file is missing"):
         load_iq(data)
     meta.write_text("format=cs16le\nsample_rate_hz=1000\n")
     with pytest.raises(UnsupportedFormatError):
