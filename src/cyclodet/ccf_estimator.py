@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .iq_io import Samples, open_samples
+from .iq_io import _READ_CHUNK, Samples, open_samples
 from .signal_model import CcfEstimate, IqBuffer
 
 _PHASOR_BLOCK = 1 << 14
@@ -112,44 +112,35 @@ def _lag_product(r: IqBuffer, tau_samples: int) -> np.ndarray:
     return np.abs(r.samples) ** 2
 
 
-def _abs_squared(x: np.ndarray, out: np.ndarray, squares: "np.ndarray | None") -> None:
-    """|x|^2 into out. A cf32 sample's I^2 + Q^2 is formed in float64, where
-    both squares are exact, so the sum is correctly rounded."""
-    if x.dtype == np.complex64:
-        sq = squares[: 2 * x.size]
-        np.copyto(sq, x.view(np.float32))
-        np.square(sq, out=sq)
-        np.add(sq[0::2], sq[1::2], out=out)
-    else:
-        np.abs(x, out=out)
-        np.square(out, out=out)
-
-
 def _zero_lag_sums(
     chunks: Iterator[np.ndarray], m: int, alphas_ts: tuple[float, ...]
 ) -> tuple[float, np.ndarray]:
     """sum_m |r(m)|^2 and, for each alpha_ts, sum_m |r(m)|^2 exp(-j 2 pi alpha_ts m),
     in one pass over the chunks of r.
 
-    Every chunk but the last is as long as the first, a whole number of
-    2**14-sample blocks (the grid of ``open_samples``). Each chunk's |r|^2 is
-    written into one reused scratch and summed (``np.sum``; ``math.fsum``
-    over the chunk sums), and its block sums are written into one array for
-    the whole record. The iterator is read to its end, so a capture's
-    checks after its last chunk run.
+    Every chunk but the last is _READ_CHUNK samples, a whole number of
+    2**14-sample blocks (the grid of ``open_samples``), so chunk i's block
+    sums start at block i _READ_CHUNK / 2**14. Each chunk's |r|^2 is
+    I^2 + Q^2 in float64, cf32 or complex128 alike: the chunk is copied into
+    one reused complex128 scratch, whose float view is squared in place and
+    added in pairs (for cf32 both squares are exact, so the sum is correctly
+    rounded). It is summed (``np.sum``; ``math.fsum`` over the chunk sums),
+    and its block sums are written into one array for the whole record. The
+    iterator is read to its end, so a capture's checks after its last chunk
+    run.
     """
     sums = np.empty((-(-m // _PHASOR_BLOCK), 2 * len(alphas_ts)))
-    power = squares = None  # made at the first chunk; squares for cf32 only
+    scratch = np.empty(min(m, _READ_CHUNK), dtype=np.complex128)
+    power = np.empty(scratch.size)
     totals = []
     for i, chunk in enumerate(chunks):
-        if power is None:
-            power = np.empty(chunk.size)
-            if chunk.dtype == np.complex64:
-                squares = np.empty(2 * chunk.size)
-        p = power[: chunk.size]
-        _abs_squared(chunk, p, squares)
+        sq, p = scratch[: chunk.size], power[: chunk.size]
+        np.copyto(sq, chunk)
+        sq = sq.view(np.float64)
+        np.square(sq, out=sq)
+        np.add(sq[0::2], sq[1::2], out=p)
         totals.append(np.sum(p))
-        start = i * (power.size // _PHASOR_BLOCK)
+        start = i * (_READ_CHUNK // _PHASOR_BLOCK)
         _block_sums(p, alphas_ts, out=sums[start : start + -(-p.size // _PHASOR_BLOCK)])
     return math.fsum(totals), _rotate(sums, alphas_ts)
 
@@ -170,8 +161,8 @@ def estimate_ccf(
     At tau = 0 every cyclic frequency comes from one pass over the chunks
     (``_zero_lag_sums``): a capture file is read once, in memory that does
     not grow with its length, and Ĉ(0, 0), the mean power, is the
-    ``math.fsum`` of the chunk sums of |r|^2. For a cf32 capture |r|^2 is
-    I^2 + Q^2 in float64, correctly rounded. A nonzero tau sums the real and
+    ``math.fsum`` of the chunk sums of |r|^2, which is I^2 + Q^2 in float64
+    for a buffer and a capture alike. A nonzero tau sums the real and
     imaginary parts of the buffer's lag product against every cyclic
     frequency at once.
     """

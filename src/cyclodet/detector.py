@@ -58,6 +58,39 @@ class DetectorConfig:
                 f"needs p_f >= {1 / self.empirical_null_trials:g}, got p_f={self.p_f}"
             )
 
+    def minimum_samples(self, sample_rate_hz: float) -> int:
+        """Smallest record classify accepts: two slots of the slowest profile."""
+        longest = max(p.slot_duration_float for p in self.profiles)
+        return int(np.ceil(2.0 * longest * sample_rate_hz))
+
+    def check_record(self, sample_rate_hz: float, m_r: int) -> None:
+        """Refuse a record of m_r samples at sample_rate_hz on which the
+        threshold does not hold its false-alarm rate, before a sample is read.
+
+        A record shorter than two slots of the slowest profile does not
+        resolve its slot rate. A profile is refused when its slot rate alpha
+        is less than one bin (f_s / M_r) below its image f_s - alpha,
+        (f_s - 2 alpha) M_r < f_s, which covers every alpha at or above
+        Nyquist: within one bin the image folds onto alpha and the noise-only
+        statistic is no longer Rayleigh. ``classify``, ``SweepConfig`` and
+        ``run_false_alarm`` all refuse through here, with one message per rule.
+        """
+        need = self.minimum_samples(sample_rate_hz)
+        if m_r < need:
+            raise ConfigurationError(
+                f"m_r {m_r} is below the {need} samples classify needs: too short to "
+                f"resolve the slot rate (two slots of the longest-slot profile at "
+                f"{sample_rate_hz:g} Hz)"
+            )
+        for profile in self.profiles:
+            alpha = profile.fundamental_cf_float
+            if (sample_rate_hz - 2 * alpha) * m_r < sample_rate_hz:
+                raise ConfigurationError(
+                    f"sample rate {sample_rate_hz:g} Hz is not one bin "
+                    f"({sample_rate_hz / m_r:g} Hz at {m_r} samples) above twice the "
+                    f"{profile.value} slot rate {alpha:g} Hz"
+                )
+
 
 def estimate_variance(r: IqBuffer) -> float:
     """Mean received power (the variance under the zero-mean assumption), Ĉ(0, 0)."""
@@ -194,27 +227,16 @@ class DecisionReport:
         )
 
 
-def minimum_samples(cfg: DetectorConfig, sample_rate_hz: float) -> int:
-    """Smallest buffer classify accepts: two slots of the slowest profile."""
-    longest = max(p.slot_duration_float for p in cfg.profiles)
-    return int(np.ceil(2.0 * longest * sample_rate_hz))
-
-
 def classify(r: "IqBuffer | str | os.PathLike", cfg: DetectorConfig) -> DecisionReport:
     """Test every configured profile's fundamental CF and label the record.
 
     ``r`` is a buffer or the path of a cf32le capture, opened once by
-    ``open_samples``, so a capture's sidecar is parsed once. A profile is
-    refused when its slot rate alpha is less than one bin (f_s / M_r) below
-    its image f_s - alpha, (f_s - 2 alpha) M_r < f_s, which covers every
-    alpha at or above Nyquist; so is a record too short to resolve the
-    slowest slot rate. Both raise before a sample is read. Within one bin
-    the image folds onto alpha, the noise-only statistic is no longer
-    Rayleigh and the threshold would not hold its false-alarm rate. One
-    ``estimate_ccf`` call gives sigma_r^2 = Ĉ(0, 0) and every profile's
-    Ĉ(alpha, 0), so a capture file is read once, in memory that does not
-    grow with its length; its |r|^2 is I^2 + Q^2 in float64, correctly
-    rounded.
+    ``open_samples``, so a capture's sidecar is parsed once, and checked by
+    ``cfg.check_record`` before a sample is read. One ``estimate_ccf`` call
+    gives sigma_r^2 = Ĉ(0, 0) and every profile's Ĉ(alpha, 0), so a capture
+    file is read once, in memory that does not grow with its length. |r|^2
+    is I^2 + Q^2 in float64 for every record, so a buffer and its saved
+    capture give the same bits.
     Every profile shares one threshold, so the label goes to the profile
     with the largest statistic if that profile crosses it (the first listed
     on a tie), and stays unknown otherwise.
@@ -223,20 +245,7 @@ def classify(r: "IqBuffer | str | os.PathLike", cfg: DetectorConfig) -> Decision
     """
     samples = open_samples(r)
     rate, m_r = samples.sample_rate_hz, samples.m_r
-    for profile in cfg.profiles:
-        alpha = profile.fundamental_cf_float
-        if (rate - 2 * alpha) * m_r < rate:
-            raise ValueError(
-                f"sample rate {rate:g} Hz is not one bin ({rate / m_r:g} Hz at {m_r} "
-                f"samples) above twice the {profile.value} slot rate {alpha:g} Hz"
-            )
-    need = minimum_samples(cfg, rate)
-    if m_r < need:
-        raise ValueError(
-            f"buffer too short to resolve the slot rate: got {m_r} samples, "
-            f"need at least {need} (two slots of the longest-slot profile at "
-            f"{rate:g} Hz)"
-        )
+    cfg.check_record(rate, m_r)
     alphas = [p.fundamental_cf_float for p in cfg.profiles]
     est = estimate_ccf(samples, [0.0, *alphas])
     sigma_r_sq = float(est.value[0].real)

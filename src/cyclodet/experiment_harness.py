@@ -12,7 +12,7 @@ import numpy as np
 
 from .ccf_estimator import ccf_spectrum, spectrum_to_csv
 from .channel_sim import ChannelConfig, apply_channel
-from .detector import DetectorConfig, classify, minimum_samples, null_statistics, threshold
+from .detector import DetectorConfig, classify, null_statistics, threshold
 from .errors import ConfigurationError
 from .signal_model import IqBuffer, Standard
 from .waveform_synth import GsmSynthConfig, LteSynthConfig, synth_gsm, synth_lte
@@ -54,6 +54,10 @@ def reference_waveform(standard: "str | Standard", num_slots: int, seed: int) ->
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A detection sweep of one standard over P_F, observation time and SNR.
+    Each time's record, round(t f_s) samples at the trial sample rate, must
+    pass ``DetectorConfig.check_record``, so no accepted sweep fails in a trial."""
+
     standard: Standard
     snr_db_list: tuple[float, ...]
     observation_times_s: tuple[float, ...]
@@ -74,13 +78,10 @@ class SweepConfig:
             replace(REFERENCE_CHANNEL, snr_db=snr_db)
         det_cfgs = [DetectorConfig(p_f) for p_f in self.p_f_list]
         fs = default_sample_rate(self.standard)
-        need = minimum_samples(det_cfgs[0], fs)
         for t in self.observation_times_s:
-            if not (np.isfinite(t) and round(t * fs) >= need):
-                raise ConfigurationError(
-                    f"observation time {t} s gives fewer than the {need} samples classify "
-                    f"needs at {fs:g} Hz (two slots of the longest-slot profile)"
-                )
+            if not np.isfinite(t):
+                raise ConfigurationError(f"observation time must be finite, got {t} s")
+            det_cfgs[0].check_record(fs, round(t * fs))
 
     @property
     def csv_columns(self) -> tuple[str, ...]:
@@ -215,8 +216,8 @@ def run_false_alarm(
 
     Runs ``null_statistics`` at the profile's slot rate and trial sample rate;
     each trial scales the closed-form unit-power threshold by its own
-    sigma_r^2. m_r must be a record classify accepts for the profile alone:
-    two of its slots at its trial sample rate.
+    sigma_r^2. m_r must be a record classify accepts for the profile alone
+    at its trial sample rate (``DetectorConfig.check_record``).
     """
     if not 0 < noise_power < np.inf:
         raise ConfigurationError(f"noise_power must be finite and > 0, got {noise_power}")
@@ -225,12 +226,7 @@ def run_false_alarm(
     profile = Standard.parse(profile)
     det_cfg = DetectorConfig(p_f=p_f, profiles=(profile,))
     fs = default_sample_rate(profile)
-    need = minimum_samples(det_cfg, fs)
-    if m_r < need:
-        raise ConfigurationError(
-            f"m_r {m_r} is below the {need} samples classify needs for {profile.value} "
-            f"at {fs:g} Hz (two slots)"
-        )
+    det_cfg.check_record(fs, m_r)
     unit = threshold(det_cfg, 1.0, m_r)
     alpha_ts = profile.fundamental_cf_float / fs
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0xFA)))

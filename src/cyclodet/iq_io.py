@@ -280,14 +280,15 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
     spectrum = np.fft.fft(taps, n)
 
     x = buf.samples
-    out = np.empty(-(-x.size // factor), dtype=np.complex128)
+    count = -(-x.size // factor)
+    out = np.empty(-(-count // kept) * kept, dtype=np.complex128)  # whole blocks
     per_chunk = max(1, _CHUNK_SAMPLES // hop)
-    firsts = range(0, out.size, per_chunk * kept)  # each batch's first output
+    firsts = range(0, count, per_chunk * kept)  # each batch's first output
     workers = min(_cpu_count(), len(firsts))
 
     def run(share: range, seg: np.ndarray, frames: np.ndarray, folded: np.ndarray) -> None:
         for first in share:
-            blocks = min(per_chunk, -(-(out.size - first) // kept))
+            blocks = min(per_chunk, (out.size - first) // kept)
             # Block b of this batch reads input samples lo + b*hop onwards.
             lo = first * factor - delay
             size = (blocks - 1) * hop + n
@@ -303,10 +304,7 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
             fold = spec.reshape(blocks, factor, sub).sum(axis=1, out=folded[:blocks])
             fold /= factor
             np.fft.ifft(fold, axis=-1, out=fold)
-            full, rest = divmod(min(blocks * kept, out.size - first), kept)
-            out[first : first + full * kept].reshape(full, kept)[...] = fold[:full, skip:]
-            if rest:
-                out[first + full * kept : first + full * kept + rest] = fold[full, skip : skip + rest]
+            out[first : first + blocks * kept].reshape(blocks, kept)[...] = fold[:, skip:]
 
     # Every worker's buffers are allocated here, so no helper thread grows a
     # malloc arena of its own, and reused by each of its batches: fresh ones
@@ -340,7 +338,7 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
     if errors:
         raise errors[0]
     return IqBuffer(
-        samples=out,
+        samples=out[:count],
         sample_rate_hz=buf.sample_rate_hz / factor,
         center_freq_hz=buf.center_freq_hz,
     )

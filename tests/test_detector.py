@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest, ks_2samp
 
@@ -40,7 +40,6 @@ from cyclodet.detector import (
     _NULL_SEED,
     THRESHOLD_MODES,
     _unit_null_quantile,
-    minimum_samples,
     null_statistics,
 )
 from test_ccf_estimator import exact_phasors
@@ -322,7 +321,7 @@ def test_classify_noise_mostly_undetected():
 def test_classify_rejects_short_buffers_with_minimum():
     cfg = DetectorConfig(p_f=0.01)
     fs = 1e6
-    need = minimum_samples(cfg, fs)
+    need = cfg.minimum_samples(fs)
     assert need == int(np.ceil(2 * (15 / 26000) * fs))
     r = IqBuffer(samples=np.ones(need - 1), sample_rate_hz=fs)
     with pytest.raises(ValueError, match=str(need)):
@@ -367,6 +366,39 @@ def test_false_alarm_rate_holds_from_one_bin_below_nyquist(seed, bins, holds):
     stats, powers = null_statistics(np.random.default_rng(seed), n, m_r, alpha_ts, 1.0)
     alarms = int(np.count_nonzero(stats > powers * np.sqrt(-np.log(p_f) / m_r)))
     assert (binomtest(alarms, n, p_f).pvalue > 1e-3) == holds
+
+
+_AUDIT_WORK = 150_000_000  # most exponential draws, M_r times records, per example
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    alpha_ts=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    log10_m_r=st.floats(3.0, math.log10(2e5)),
+    u=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_false_alarm_rate_holds_on_records_check_record_accepts(alpha_ts, log10_m_r, u, seed):
+    # The CFAR audit: GSM alone at f_s = alpha / (alpha T_s), at any record
+    # check_record accepts, M_r log-uniform in [1e3, 2e5] and P_F log-uniform
+    # in [1e-3, 0.2]. Each example draws at least 20 expected alarms and at
+    # most _AUDIT_WORK samples, and passes a two-sided exact binomial test of
+    # its alarm count against the closed-form threshold at 1e-6.
+    m_r = round(10**log10_m_r)
+    low = max(1e-3, 20 * m_r / (_AUDIT_WORK - m_r))
+    p_f = low * (0.2 / low) ** u
+    cfg = DetectorConfig(p_f=p_f, profiles=("gsm",))
+    fs = Standard.GSM.fundamental_cf_float / alpha_ts
+    assume(fs < math.inf)
+    try:
+        cfg.check_record(fs, m_r)
+    except ConfigurationError:
+        assume(False)
+    n = math.ceil(20 / p_f)
+    stats, powers = null_statistics(np.random.default_rng(seed), n, m_r, alpha_ts, 1.0)
+    unit = threshold(cfg, 1.0, m_r)
+    alarms = int(np.count_nonzero(stats > powers * unit))
+    assert binomtest(alarms, n, p_f).pvalue > 1e-6, (alarms, n, p_f, m_r, alpha_ts)
 
 
 def test_classify_rejects_non_finite_power():
@@ -426,6 +458,17 @@ def test_classify_statistics_match_exact_sums():
         _assert_exact(classify(r, cfg), np.abs(r.samples) ** 2, r.sample_rate_hz)
 
 
+def test_classify_of_a_strided_buffer_matches_its_copy():
+    # Each chunk is copied into the squaring scratch, so a strided view of a
+    # record classifies like its contiguous copy, bit for bit.
+    r = _gsm_rx()
+    cfg = DetectorConfig(p_f=0.01)
+    view = IqBuffer(samples=r.samples[::2], sample_rate_hz=r.sample_rate_hz / 2)
+    assert not view.samples.flags.c_contiguous
+    copy = IqBuffer(samples=view.samples.copy(), sample_rate_hz=view.sample_rate_hz)
+    assert classify(view, cfg) == classify(copy, cfg)
+
+
 def _assert_exact(report, p, rate):
     """report's sigma^2 and statistics against correctly rounded sums of p."""
     m = p.size
@@ -454,9 +497,14 @@ def test_classify_of_a_capture_file_matches_its_loaded_buffer(tmp_path, capture_
     for name, r in capture_records.items():
         path = tmp_path / f"{name}.iq"
         save_iq(IqBuffer(samples=r.samples[:m], sample_rate_hz=r.sample_rate_hz), path)
-        report = classify(path, cfg)
+        report, loaded = classify(path, cfg), classify(load_iq(path), cfg)
         assert report.m_r == m
-        assert report.label == classify(load_iq(path), cfg).label
+        assert report.label == loaded.label
+        # Both square I and Q in float64 and sum on one chunk grid: bit for bit.
+        assert (report.sigma_r_sq, report.threshold) == (loaded.sigma_r_sq, loaded.threshold)
+        assert [d.statistic for d in report.decisions] == [
+            d.statistic for d in loaded.decisions
+        ]
         squares = np.fromfile(path, "<f4").astype(np.float64) ** 2
         _assert_exact(report, squares[0::2] + squares[1::2], r.sample_rate_hz)
 

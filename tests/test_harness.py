@@ -19,6 +19,7 @@ from cyclodet import (
     estimate_variance,
     run_detection_sweep,
     run_false_alarm,
+    save_iq,
     slot_samples,
     synth_noise,
 )
@@ -28,7 +29,6 @@ from cyclodet.channel_sim import apply_channel, complex_normal, draw_taps
 from cyclodet.detector import (
     classify,
     mean_power_leakage,
-    minimum_samples,
     null_statistics,
     threshold,
 )
@@ -243,7 +243,7 @@ def test_sweep_minimum_record_is_classify_minimum(std):
     # The shortest record a sweep accepts is the shortest classify accepts,
     # so an accepted sweep never fails inside a trial.
     fs = default_sample_rate(std)
-    need = minimum_samples(DetectorConfig(p_f=0.01), fs)
+    need = DetectorConfig(p_f=0.01).minimum_samples(fs)
     with pytest.raises(ConfigurationError):
         SweepConfig(standard=std, snr_db_list=(0.0,), observation_times_s=((need - 1) / fs,))
     cfg = SweepConfig(
@@ -309,12 +309,55 @@ def test_false_alarm_refuses_records_classify_refuses(profile):
     # The closed form holds its P_F on records classify accepts: GSM at P_F
     # 0.01 read 0.0 at M_r 2, 10 and 100, 0.00245 at 300 and 0.0106 at the
     # 1,250-sample floor (20,000 trials each).
-    need = minimum_samples(DetectorConfig(p_f=0.01, profiles=(profile,)),
-                           default_sample_rate(profile))
+    need = DetectorConfig(p_f=0.01, profiles=(profile,)).minimum_samples(
+        default_sample_rate(profile))
     assert need == {Standard.GSM: 1250, Standard.LTE: 1920}[profile]
     with pytest.raises(ConfigurationError, match=f"m_r {need - 1} is below the {need}"):
         run_false_alarm(1.0, m_r=need - 1, p_f=0.01, n_trials=5, profile=profile)
     assert 0 <= run_false_alarm(1.0, m_r=need, p_f=0.01, n_trials=5, profile=profile) <= 1
+
+
+@pytest.mark.parametrize("entry", ["classify", "sweep", "false_alarm"])
+def test_every_entry_point_refuses_a_short_record_alike(entry):
+    # One GSM record, a sample short of two slots at the GSM trial rate, is
+    # refused by DetectorConfig.check_record with the same text from every
+    # entry point that can be handed it.
+    fs = default_sample_rate(Standard.GSM)
+    cfg = DetectorConfig(p_f=0.01)
+    m = cfg.minimum_samples(fs) - 1
+    with pytest.raises(ConfigurationError, match="too short") as expected:
+        cfg.check_record(fs, m)
+    calls = {
+        "classify": lambda: classify(IqBuffer(samples=np.ones(m), sample_rate_hz=fs), cfg),
+        "sweep": lambda: SweepConfig(Standard.GSM, (0.0,), (m / fs,)),
+        "false_alarm": lambda: run_false_alarm(1.0, m_r=m, p_f=0.01, n_trials=5),
+    }
+    with pytest.raises(ConfigurationError) as refused:
+        calls[entry]()
+    assert str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("source", ["buffer", "capture"])
+def test_classify_refuses_a_near_nyquist_record_as_check_record_does(tmp_path, source):
+    # GSM alone at 3,470 Hz and 1,000 samples: 0.96 bins from its image. The
+    # sweeps and false-alarm runs work at trial rates, where every record
+    # long enough for two slots is hundreds of bins from the image, so
+    # classify is the one entry point that reaches this refusal.
+    cfg = DetectorConfig(p_f=0.01, profiles=("gsm",))
+    with pytest.raises(ConfigurationError, match="not one bin") as expected:
+        cfg.check_record(3470.0, 1_000)
+    r = synth_noise(1_000, 1.0, seed=4, sample_rate_hz=3470.0)
+    if source == "capture":
+        save_iq(r, tmp_path / "n.iq")
+        r = tmp_path / "n.iq"
+    with pytest.raises(ConfigurationError) as refused:
+        classify(r, cfg)
+    assert str(refused.value) == str(expected.value)
+    for std in Standard:  # the shortest records sweeps and false-alarm runs accept
+        fs = default_sample_rate(std)
+        for profiles in (tuple(Standard), (std,)):
+            trial = DetectorConfig(p_f=0.01, profiles=profiles)
+            trial.check_record(fs, trial.minimum_samples(fs))
 
 
 def test_classify_and_false_alarm_reach_the_traced_estimator_functions(monkeypatch):
