@@ -103,13 +103,14 @@ def _rotate(sums: np.ndarray, alphas_ts: tuple[float, ...]) -> np.ndarray:
 
 
 def _lag_product(r: IqBuffer, tau_samples: int) -> np.ndarray:
-    """r(m) conj(r(m + tau)) for m = 0..M_r - tau - 1, or |r|^2 at tau = 0."""
+    """r(m) conj(r(m + tau)) for m = 0..M_r - tau - 1, or |r|^2 at tau = 0, as
+    I^2 + Q^2 in float64 like the |r|^2 that ``_zero_lag_sums`` sums."""
     m = r.m_r
     if not 0 <= tau_samples < m:
         raise ValueError(f"tau_samples must be in [0, {m}), got {tau_samples}")
     if tau_samples:
         return r.samples[: m - tau_samples] * np.conj(r.samples[tau_samples:])
-    return np.abs(r.samples) ** 2
+    return r.samples.real**2 + r.samples.imag**2
 
 
 def _zero_lag_sums(

@@ -10,6 +10,7 @@ may be called many times in one process; the calls share one parser.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import re
 import sys
@@ -44,48 +45,28 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+def _config(args: argparse.Namespace, config: type):
+    """``config`` built from the parsed options whose destinations name its fields."""
+    return config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config)})
+
+
 def _cmd_synth_gsm(args: argparse.Namespace) -> int:
-    cfg = GsmSynthConfig(
-        num_slots=args.slots,
-        oversample=args.oversample,
-        training_sequence_index=args.tsc,
-        seed=args.seed,
-        guard_mode=args.guard_mode,
-    )
-    save_iq(synth_gsm(cfg), args.out)
+    save_iq(synth_gsm(_config(args, GsmSynthConfig)), args.out)
     return EXIT_OK
 
 
 def _cmd_synth_lte(args: argparse.Namespace) -> int:
-    cfg = LteSynthConfig(
-        num_slots=args.slots,
-        n_rb=args.rb,
-        fft_size=args.fft_size,
-        rs_power_boost_db=args.rs_boost_db,
-        cell_seed=args.cell_seed,
-        seed=args.seed,
-        data_occupancy=args.occupancy,
-    )
-    save_iq(synth_lte(cfg), args.out)
+    save_iq(synth_lte(_config(args, LteSynthConfig)), args.out)
     return EXIT_OK
 
 
 def _cmd_channel(args: argparse.Namespace) -> int:
     buf = load_iq(args.infile)
     # A slot length, given or derived from a standard, turns on the offset.
-    offset_samples = args.timing_slot_samples
     if args.standard is not None:
         slot_s = Standard.parse(args.standard).slot_duration_float
-        offset_samples = int(round(slot_s * buf.sample_rate_hz))
-    cfg = ChannelConfig(
-        snr_db=args.snr_db,
-        num_taps=args.taps,
-        pdp_decay=args.decay,
-        timing_offset_slot_samples=offset_samples,
-        cfo_hz=args.cfo_hz,
-        seed=args.seed,
-    )
-    save_iq(apply_channel(buf, cfg), args.out)
+        args.timing_offset_slot_samples = int(round(slot_s * buf.sample_rate_hz))
+    save_iq(apply_channel(buf, _config(args, ChannelConfig)), args.out)
     return EXIT_OK
 
 
@@ -133,10 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     standards = tuple(s.value for s in Standard)
 
+    # An option that sets a config field takes the field's name as its dest.
     p = sub.add_parser("synth-gsm", help="generate a GMSK burst train")
-    p.add_argument("--slots", type=int, required=True)
+    p.add_argument("--slots", dest="num_slots", type=int, required=True)
     p.add_argument("--oversample", type=int, default=GsmSynthConfig.oversample)
-    p.add_argument("--tsc", type=int, default=GsmSynthConfig.training_sequence_index,
+    p.add_argument("--tsc", dest="training_sequence_index", type=int,
+                   default=GsmSynthConfig.training_sequence_index,
                    help="training sequence index 0..7")
     p.add_argument("--guard-mode", choices=GUARD_MODES, default=GsmSynthConfig.guard_mode)
     p.add_argument("--seed", type=int, required=True)
@@ -144,13 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth_gsm)
 
     p = sub.add_parser("synth-lte", help="generate an LTE downlink slot train")
-    p.add_argument("--slots", type=int, required=True)
-    p.add_argument("--rb", type=int, default=LteSynthConfig.n_rb, help="resource blocks")
+    p.add_argument("--slots", dest="num_slots", type=int, required=True)
+    p.add_argument("--rb", dest="n_rb", type=int, default=LteSynthConfig.n_rb,
+                   help="resource blocks")
     p.add_argument("--fft-size", type=int, default=LteSynthConfig.fft_size)
-    p.add_argument("--rs-boost-db", type=float, default=LteSynthConfig.rs_power_boost_db)
+    p.add_argument("--rs-boost-db", dest="rs_power_boost_db", type=float,
+                   default=LteSynthConfig.rs_power_boost_db)
     p.add_argument("--cell-seed", type=int, default=LteSynthConfig.cell_seed)
-    p.add_argument("--occupancy", type=float, default=LteSynthConfig.data_occupancy,
-                   help="data RE fill fraction")
+    p.add_argument("--occupancy", dest="data_occupancy", type=float,
+                   default=LteSynthConfig.data_occupancy, help="data RE fill fraction")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth_lte)
@@ -158,10 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("channel", help="fade, offset, rotate, and add noise")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--snr-db", type=float, required=True)
-    p.add_argument("--taps", type=int, default=ChannelConfig.num_taps)
-    p.add_argument("--decay", type=float, default=ChannelConfig.pdp_decay)
+    p.add_argument("--taps", dest="num_taps", type=int, default=ChannelConfig.num_taps)
+    p.add_argument("--decay", dest="pdp_decay", type=float, default=ChannelConfig.pdp_decay)
     offset = p.add_mutually_exclusive_group()
-    offset.add_argument("--timing-slot-samples", type=int,
+    offset.add_argument("--timing-slot-samples", dest="timing_offset_slot_samples", type=int,
                         help="uniform timing offset over [0, N) samples")
     offset.add_argument("--standard", choices=standards,
                         help="uniform timing offset over one slot of this standard")
@@ -180,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="run the detector; prints the decision report")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--pf", type=float, default=1e-2)
-    p.add_argument("--profiles", default="gsm,lte")
+    p.add_argument("--profiles", default=",".join(standards))
     p.add_argument("--json", action="store_true", help="emit a JSON record instead of CSV")
     p.set_defaults(func=_cmd_classify)
 
@@ -213,10 +198,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (FormatError, OSError) as exc:  # before ValueError: a FormatError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConfigurationError, ValueError) as exc:

@@ -60,6 +60,8 @@ class DetectorConfig:
 
     def minimum_samples(self, sample_rate_hz: float) -> int:
         """Smallest record classify accepts: two slots of the slowest profile."""
+        if not 0 < sample_rate_hz < np.inf:
+            raise ConfigurationError(f"sample rate must be finite and > 0, got {sample_rate_hz}")
         longest = max(p.slot_duration_float for p in self.profiles)
         return int(np.ceil(2.0 * longest * sample_rate_hz))
 

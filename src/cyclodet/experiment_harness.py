@@ -261,8 +261,8 @@ def _spectrum_figure(standard: Standard, master_seed: int):
 def emit_figure_data(
     which: str,
     out_path,
-    n_trials: int = 1000,
-    master_seed: int = 0,
+    n_trials: int = SweepConfig.n_trials,
+    master_seed: int = SweepConfig.master_seed,
     snr_db_list: Optional[Sequence[float]] = None,
 ) -> None:
     """Write the CSV behind one of the bundled result figures.

@@ -15,7 +15,8 @@ from cyclodet import (
     spectrum_to_csv,
     synth_noise,
 )
-from cyclodet.ccf_estimator import _block_sums, _rotate, unit_phasors
+from cyclodet.ccf_estimator import _block_sums, _lag_product, _rotate, unit_phasors
+from cyclodet.iq_io import _READ_CHUNK
 
 
 def _buf(samples, fs=1.0):
@@ -108,6 +109,17 @@ def test_spectrum_dc_bin_is_mean_power():
     spec = ccf_spectrum(r, 0, max_alpha_hz=0.4)
     assert spec.magnitudes[0] == pytest.approx(estimate_variance(r), rel=1e-12)
     assert spec.alphas_hz[0] == 0.0
+
+
+def test_spectrum_squares_the_samples_as_the_estimator_does():
+    # At tau = 0 both paths square a sample as I^2 + Q^2 in float64, so the
+    # spectrum's lag product, summed chunk by chunk, gives the estimator's
+    # C(0, 0) bit for bit.
+    r = synth_noise(200_003, 1.0, seed=5, sample_rate_hz=1e6)
+    lag = _lag_product(r, 0)
+    assert np.array_equal(lag, r.samples.real**2 + r.samples.imag**2)
+    sums = [np.sum(lag[i : i + _READ_CHUNK]) for i in range(0, lag.size, _READ_CHUNK)]
+    assert math.fsum(sums) / r.m_r == estimate_variance(r)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4096, 100_003])

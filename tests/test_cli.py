@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, file plumbing, exit codes."""
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import os
@@ -22,6 +23,7 @@ from cyclodet import (
     emit_figure_data,
     load_iq,
     save_iq,
+    synth_gsm,
 )
 from cyclodet import cli
 from cyclodet.cli import build_parser, main
@@ -97,25 +99,61 @@ def test_channel_slot_length_turns_on_uniform_offset(tmp_path):
 
 
 def test_parser_defaults_come_from_the_configs():
+    # Every field of each config is the dest of an option, so a misspelled
+    # dest fails here, and each field with a default takes that default.
     def parse(*argv):
-        return vars(build_parser().parse_args(list(argv)))
+        return vars(build_parser().parse_args([*argv, "--seed", "0", "--out", "x.iq"]))
 
-    out = ("--out", "x.iq")
     cases = [
-        (parse("synth-gsm", "--slots", "1", "--seed", "0", *out), GsmSynthConfig,
-         {"oversample": "oversample", "tsc": "training_sequence_index",
-          "guard_mode": "guard_mode"}),
-        (parse("synth-lte", "--slots", "1", "--seed", "0", *out), LteSynthConfig,
-         {"rb": "n_rb", "fft_size": "fft_size", "rs_boost_db": "rs_power_boost_db",
-          "cell_seed": "cell_seed", "occupancy": "data_occupancy"}),
-        (parse("channel", "--in", "x", "--snr-db", "0", "--seed", "0", *out), ChannelConfig,
-         {"taps": "num_taps", "decay": "pdp_decay", "cfo_hz": "cfo_hz"}),
-        (parse("sweep", "--standard", "gsm", "--snr", "0", "--obs-ms", "10", "--seed", "0",
-               *out), SweepConfig, {"trials": "n_trials"}),
+        (parse("synth-gsm", "--slots", "1"), GsmSynthConfig),
+        (parse("synth-lte", "--slots", "1"), LteSynthConfig),
+        (parse("channel", "--in", "x", "--snr-db", "0"), ChannelConfig),
     ]
-    for args, config, fields in cases:
-        for dest, field in fields.items():
-            assert args[dest] == getattr(config, field), (config.__name__, dest)
+    for args, config in cases:
+        for field in dataclasses.fields(config):
+            assert field.name in args, (config.__name__, field.name)
+            if field.default is not dataclasses.MISSING:
+                assert args[field.name] == field.default, (config.__name__, field.name)
+    args = parse("sweep", "--standard", "gsm", "--snr", "0", "--obs-ms", "10")
+    assert args["trials"] == SweepConfig.n_trials
+
+
+_CHANNEL = ["channel", "--snr-db", "12.5", "--taps", "3", "--decay", "2.5", "--cfo-hz", "40",
+            "--seed", "13"]
+
+
+@pytest.mark.parametrize("target,argv,expected", [
+    ("synth_gsm", ["synth-gsm", "--slots", "4", "--oversample", "8", "--tsc", "5",
+                   "--guard-mode", "gated", "--seed", "11"],
+     GsmSynthConfig(num_slots=4, oversample=8, training_sequence_index=5, seed=11,
+                    guard_mode="gated")),
+    ("synth_lte", ["synth-lte", "--slots", "2", "--rb", "15", "--fft-size", "256",
+                   "--rs-boost-db", "3.5", "--cell-seed", "9", "--occupancy", "0.5",
+                   "--seed", "12"],
+     LteSynthConfig(num_slots=2, n_rb=15, fft_size=256, rs_power_boost_db=3.5, cell_seed=9,
+                    seed=12, data_occupancy=0.5)),
+    ("apply_channel", _CHANNEL + ["--timing-slot-samples", "100"],
+     ChannelConfig(snr_db=12.5, num_taps=3, pdp_decay=2.5, timing_offset_slot_samples=100,
+                   cfo_hz=40.0, seed=13)),
+    # One LTE slot at the GSM rate of the input: round(0.5 ms * 1.0833 MHz).
+    ("apply_channel", _CHANNEL + ["--standard", "lte"],
+     ChannelConfig(snr_db=12.5, num_taps=3, pdp_decay=2.5, timing_offset_slot_samples=542,
+                   cfo_hz=40.0, seed=13)),
+], ids=["synth-gsm", "synth-lte", "channel-slot-samples", "channel-standard"])
+def test_every_option_reaches_its_config_field(tmp_path, monkeypatch, target, argv, expected):
+    assert all(getattr(expected, f.name) != f.default for f in dataclasses.fields(expected))
+    infile = tmp_path / "in.iq"
+    save_iq(synth_gsm(GsmSynthConfig(num_slots=8)), infile)
+    seen = []
+
+    def spy(*args, _fn=getattr(cli, target)):
+        seen.append(args[-1])
+        return _fn(*args)
+
+    monkeypatch.setattr(cli, target, spy)
+    extra = ["--in", str(infile)] if argv[0] == "channel" else []
+    assert run(argv + extra + ["--out", str(tmp_path / "out.iq")]) == 0
+    assert seen == [expected]
 
 
 def test_classify_rejects_removed_uncalibrated_mode(tmp_path):

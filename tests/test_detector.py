@@ -328,6 +328,14 @@ def test_classify_rejects_short_buffers_with_minimum():
         classify(r, cfg)
 
 
+@pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -5.0])
+def test_record_check_refuses_a_rate_that_is_not_finite_and_positive(rate):
+    cfg = DetectorConfig(p_f=0.01)
+    for check in (cfg.minimum_samples, lambda fs: cfg.check_record(fs, 10_000)):
+        with pytest.raises(ConfigurationError, match=rf"finite and > 0, got {rate}$"):
+            check(rate)
+
+
 def test_classify_rejects_slot_rate_above_nyquist():
     # At 1e-300 Hz alpha * T_s overflows and both statistics came out NaN.
     samples = synth_noise(40_000, 1.0, seed=5, sample_rate_hz=1e6).samples
@@ -389,7 +397,6 @@ def test_false_alarm_rate_holds_on_records_check_record_accepts(alpha_ts, log10_
     p_f = low * (0.2 / low) ** u
     cfg = DetectorConfig(p_f=p_f, profiles=("gsm",))
     fs = Standard.GSM.fundamental_cf_float / alpha_ts
-    assume(fs < math.inf)
     try:
         cfg.check_record(fs, m_r)
     except ConfigurationError:
