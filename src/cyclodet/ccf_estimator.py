@@ -20,7 +20,6 @@ enforced by tests.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -28,6 +27,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .iq_io import _READ_CHUNK, Samples, open_samples
+from .parallel import locked_cache
 from .signal_model import CcfEstimate, IqBuffer
 
 _PHASOR_BLOCK = 1 << 14
@@ -48,7 +48,7 @@ def unit_phasors(alpha_ts: float, m: int) -> np.ndarray:
     return (carriers[:, None] * unit_phasors(alpha_ts, block)[None, :]).ravel()[:m]
 
 
-@functools.lru_cache(maxsize=16)
+@locked_cache(maxsize=16)
 def _stacked_table(alphas_ts: tuple[float, ...]) -> np.ndarray:
     """Read-only (2k, 2**14) table: the real and imaginary parts of
     exp(-j 2 pi alpha_ts n) as rows 2i and 2i + 1, one pair per cyclic

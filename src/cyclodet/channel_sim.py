@@ -116,9 +116,13 @@ def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
         for lo in range(k, m, _FIR_BLOCK):
             hi = min(lo + _FIR_BLOCK, m)
             y[lo:hi] += np.multiply(h, x.samples[lo - k : hi - k], out=block[: hi - lo])
+    # Drop the input here: when the caller passed its last reference, the
+    # signal is freed before the noise buffer is allocated.
+    rate, center = x.sample_rate_hz, x.center_freq_hz
+    del x, block
 
     if cfg.cfo_hz != 0.0:
-        t = np.arange(m) / x.sample_rate_hz
+        t = np.arange(m) / rate
         rot = np.exp(2j * np.pi * cfg.cfo_hz * t)
         # Operand order fixed as y * rot: with FMA a complex product rounds
         # differently in the other order, and `y * np.exp(...)` lets numpy
@@ -131,4 +135,4 @@ def apply_channel(x: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
         noise_power = np.mean(np.square(scratch, out=scratch)) / 10.0 ** (cfg.snr_db / 10.0)
         _add_complex_normal(rng, y, noise_power, scratch)
 
-    return IqBuffer(samples=y, sample_rate_hz=x.sample_rate_hz, center_freq_hz=x.center_freq_hz)
+    return IqBuffer(samples=y, sample_rate_hz=rate, center_freq_hz=center)

@@ -106,6 +106,10 @@ def _cmd_decimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# P_F is tested per profile, so noise gets some label more often than P_F.
+_PF_HELP = "per profile: with K profiles, noise gets some label at about 1 - (1 - P_F)^K"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclodet",
@@ -164,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="run the detector; prints the decision report")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--pf", type=float, default=1e-2)
+    p.add_argument("--pf", type=float, default=SweepConfig.p_f_list[0],
+                   help="false-alarm target " + _PF_HELP)
     p.add_argument("--profiles", default=",".join(standards))
     p.add_argument("--json", action="store_true", help="emit a JSON record instead of CSV")
     p.set_defaults(func=_cmd_classify)
@@ -173,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standard", choices=standards, required=True)
     p.add_argument("--snr", required=True, help="comma list or start:step:stop")
     p.add_argument("--obs-ms", required=True, help="comma list of observation times, ms")
-    p.add_argument("--pf", default="0.01", help="comma list of false-alarm targets")
+    p.add_argument("--pf", default=",".join(map(str, SweepConfig.p_f_list)),
+                   help="comma list of false-alarm targets, each " + _PF_HELP)
     p.add_argument("--trials", type=int, default=SweepConfig.n_trials)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

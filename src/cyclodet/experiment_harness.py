@@ -5,6 +5,7 @@ for the standard set of result figures."""
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -14,6 +15,7 @@ from .ccf_estimator import ccf_spectrum, spectrum_to_csv
 from .channel_sim import ChannelConfig, apply_channel
 from .detector import DetectorConfig, classify, null_statistics, threshold
 from .errors import ConfigurationError
+from .parallel import cpu_count as _cpu_count, run_shares
 from .signal_model import IqBuffer, Standard
 from .waveform_synth import GsmSynthConfig, LteSynthConfig, synth_gsm, synth_lte
 
@@ -160,9 +162,9 @@ def run_single_trial(
     classifier labels the window with the transmitted standard."""
     n_slot = slot_samples(standard)
     num_slots = int(np.ceil(m_r / n_slot)) + 1
-    x = reference_waveform(standard, num_slots, wf_seed)
     ch = replace(REFERENCE_CHANNEL, snr_db=snr_db, timing_offset_slot_samples=n_slot, seed=ch_seed)
-    y = apply_channel(x, ch)
+    # Nothing here holds the waveform, so apply_channel frees it after its FIR.
+    y = apply_channel(reference_waveform(standard, num_slots, wf_seed), ch)
     # Skip one slot so the analysis window is fully inside the delayed signal;
     # the slot phase at the window start stays uniform.
     window = IqBuffer(
@@ -177,31 +179,60 @@ def run_detection_sweep(cfg: SweepConfig) -> SweepResult:
 
     Per-trial RNG streams derive from (master_seed, cell index, trial index)
     only, so results are reproducible and independent of execution order.
+    The trials are shared among one thread per CPU the process may run on,
+    each taking the next trial of the longest records left, and counting
+    its hits per cell apart; the counts are summed here. So the cells do
+    not depend on the CPU count, and one trial per thread is in memory at a
+    time. A failed trial stops every thread after the trial in its hands.
     """
     fs = default_sample_rate(cfg.standard)
-    cells = []
-    cell_index = 0
-    for p_f in cfg.p_f_list:
-        det_cfg = DetectorConfig(p_f=p_f)
-        for obs_t in cfg.observation_times_s:
-            m_r = int(round(obs_t * fs))
-            for snr_db in cfg.snr_db_list:
-                hits = 0
-                for trial in range(cfg.n_trials):
-                    wf_seed, ch_seed = _trial_seeds(cfg.master_seed, cell_index, trial)
-                    hits += run_single_trial(cfg.standard, snr_db, m_r, det_cfg, wf_seed, ch_seed)
-                cells.append(
-                    SweepCell(
-                        standard=cfg.standard,
-                        snr_db=snr_db,
-                        obs_time_s=obs_t,
-                        p_f=p_f,
-                        pd=hits / cfg.n_trials,
-                        n_trials=cfg.n_trials,
-                    )
+    grid = [
+        (detector, obs_t, snr_db)
+        for detector in [DetectorConfig(p_f=p_f) for p_f in cfg.p_f_list]
+        for obs_t in cfg.observation_times_s
+        for snr_db in cfg.snr_db_list
+    ]
+    m_rs = [int(round(obs_t * fs)) for _, obs_t, _ in grid]
+    # Taken from the end: the longest records first, so no long trial is left
+    # to run alone at the end.
+    pending = sorted(
+        ((cell, trial) for cell in range(len(grid)) for trial in range(cfg.n_trials)),
+        key=lambda job: m_rs[job[0]],
+    )
+    lock = threading.Lock()
+
+    def run(hits: list) -> None:
+        try:
+            while True:
+                with lock:
+                    if not pending:
+                        return
+                    cell, trial = pending.pop()
+                detector, _, snr_db = grid[cell]
+                wf_seed, ch_seed = _trial_seeds(cfg.master_seed, cell, trial)
+                hits[cell] += run_single_trial(
+                    cfg.standard, snr_db, m_rs[cell], detector, wf_seed, ch_seed
                 )
-                cell_index += 1
-    return SweepResult(cells=tuple(cells))
+        except BaseException:
+            with lock:
+                pending.clear()
+            raise
+
+    counts = [[0] * len(grid) for _ in range(min(_cpu_count(), len(pending)))]
+    run_shares(run, [(hits,) for hits in counts])
+    return SweepResult(
+        cells=tuple(
+            SweepCell(
+                standard=cfg.standard,
+                snr_db=snr_db,
+                obs_time_s=obs_t,
+                p_f=detector.p_f,
+                pd=sum(hits[cell] for hits in counts) / cfg.n_trials,
+                n_trials=cfg.n_trials,
+            )
+            for cell, (detector, obs_t, snr_db) in enumerate(grid)
+        )
+    )
 
 
 def run_false_alarm(

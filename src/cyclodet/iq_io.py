@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
@@ -27,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, UnsupportedFormatError
+from .parallel import cpu_count as _cpu_count, run_shares
 from .signal_model import IqBuffer
 
 SAMPLE_FORMAT_CF32LE = "cf32le"
@@ -229,13 +229,6 @@ _BLOCK_PER_TAP = 4  # overlap-save block length, in filter lengths
 _CHUNK_SAMPLES = 1 << 16  # input samples transformed per batch of blocks
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
     """Low-pass filter and keep every factor-th sample.
 
@@ -318,25 +311,7 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
         )
         for w in range(workers)
     ]
-    errors = []
-
-    def helper(*args) -> None:
-        try:
-            run(*args)
-        except BaseException as exc:  # re-raised in the caller after join
-            errors.append(exc)
-
-    threads = [threading.Thread(target=helper, args=args) for args in shares[1:]]
-    try:
-        for thread in threads:
-            thread.start()
-        run(*shares[0])
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
+    run_shares(run, shares)
     return IqBuffer(
         samples=out[:count],
         sample_rate_hz=buf.sample_rate_hz / factor,

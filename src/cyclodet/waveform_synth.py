@@ -9,7 +9,6 @@ are unambiguous.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +17,7 @@ import numpy as np
 
 from .channel_sim import complex_normal
 from .errors import ConfigurationError
+from .parallel import locked_cache
 from .signal_model import IqBuffer, Standard
 
 GSM_SYMBOL_RATE_HZ = Fraction(1625000, 6)
@@ -204,9 +204,15 @@ def synth_gsm(cfg: GsmSynthConfig) -> IqBuffer:
 
     if cfg.guard_mode == "gated":
         x *= _slot_gate(cfg)
+    return IqBuffer(samples=_to_unit_power(x), sample_rate_hz=cfg.sample_rate_hz)
 
-    x /= np.sqrt(np.mean(np.abs(x) ** 2))
-    return IqBuffer(samples=x, sample_rate_hz=cfg.sample_rate_hz)
+
+def _to_unit_power(x: np.ndarray) -> np.ndarray:
+    """x divided in place by its RMS. |x|^2 is formed in one float buffer,
+    squared in place: the same bits as ``np.abs(x) ** 2``, in half the memory."""
+    power = np.abs(x)
+    x /= np.sqrt(np.mean(np.square(power, out=power)))
+    return x
 
 
 LTE_SUBCARRIER_SPACING_HZ = 15000
@@ -291,7 +297,7 @@ def _cell_constants(n_rb: int, rs_power_boost_db: float, cell_seed: int):
     return rs_cols_sym0, rs_sym0, rs_cols_sym4, rs_sym4, sss
 
 
-@functools.lru_cache(maxsize=8)
+@locked_cache(maxsize=8)
 def _lte_layout(
     num_slots: int, n_rb: int, fft_size: int, rs_power_boost_db: float, cell_seed: int
 ):
@@ -364,9 +370,14 @@ def synth_lte(cfg: LteSynthConfig) -> IqBuffer:
         # by 2**53 and the shift by 11 lose nothing.
         first_empty = np.uint64(math.ceil(cfg.data_occupancy * 2.0**53) << 11)
         qpsk_index |= (words[:, nsc // 2 :] >= first_empty).view(np.uint8) << 2
+    # The draw goes before the grid is allocated, and the grid before the
+    # output is normalised: no two full-size arrays are held beside a third.
+    data = _QPSK_OR_EMPTY[qpsk_index]
+    del words, qpsk_index
 
     grid = np.zeros((cfg.num_slots * LTE_SYMBOLS_PER_SLOT, cfg.fft_size), dtype=np.complex128)
-    grid[data_rows[:, None], data_bins] = _QPSK_OR_EMPTY[qpsk_index]
+    grid[data_rows[:, None], data_bins] = data
+    del data
     grid.reshape(-1)[fixed] = fixed_values
 
     bodies = np.fft.ifft(grid, axis=1, out=grid)
@@ -381,10 +392,8 @@ def synth_lte(cfg: LteSynthConfig) -> IqBuffer:
         out[:, start : start + n_cp] = bodies[:, k, n - n_cp :]
         out[:, start + n_cp : start + n_cp + n] = bodies[:, k]
         start += n_cp + n
-    out = out.ravel()
-
-    out /= np.sqrt(np.mean(np.abs(out) ** 2))
-    return IqBuffer(samples=out, sample_rate_hz=cfg.sample_rate_hz)
+    del grid, bodies
+    return IqBuffer(samples=_to_unit_power(out.ravel()), sample_rate_hz=cfg.sample_rate_hz)
 
 
 def synth_noise(m_r: int, power: float, seed: int, sample_rate_hz: float = 1.0) -> IqBuffer:

@@ -26,7 +26,7 @@ from cyclodet import (
     synth_gsm,
 )
 from cyclodet import cli
-from cyclodet.cli import build_parser, main
+from cyclodet.cli import _parse_float_list, build_parser, main
 from cyclodet.iq_io import _READ_CHUNK
 
 
@@ -116,6 +116,8 @@ def test_parser_defaults_come_from_the_configs():
                 assert args[field.name] == field.default, (config.__name__, field.name)
     args = parse("sweep", "--standard", "gsm", "--snr", "0", "--obs-ms", "10")
     assert args["trials"] == SweepConfig.n_trials
+    assert _parse_float_list(args["pf"]) == SweepConfig.p_f_list
+    assert (build_parser().parse_args(["classify", "--in", "x"]).pf,) == SweepConfig.p_f_list
 
 
 _CHANNEL = ["channel", "--snr-db", "12.5", "--taps", "3", "--decay", "2.5", "--cfo-hz", "40",

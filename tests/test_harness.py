@@ -2,6 +2,8 @@
 
 import csv
 import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +26,7 @@ from cyclodet import (
     synth_noise,
 )
 from cyclodet import ccf_estimator, experiment_harness
-from cyclodet.ccf_estimator import unit_phasors
+from cyclodet.ccf_estimator import _stacked_table, unit_phasors
 from cyclodet.channel_sim import apply_channel, complex_normal, draw_taps
 from cyclodet.detector import (
     classify,
@@ -39,6 +41,7 @@ from cyclodet.experiment_harness import (
     reference_waveform,
     run_single_trial,
 )
+from cyclodet.waveform_synth import _lte_layout
 from test_channel_sim import _fir_convolve_reference
 from test_waveform_synth import _synth_gsm_reference, _synth_lte_loop
 
@@ -132,6 +135,95 @@ def test_trials_are_exchangeable():
         wf_seed, ch_seed = _trial_seeds(3, 0, trial)
         reversed_outcomes[trial] = run_single_trial(Standard.GSM, 5.0, m_r, det, wf_seed, ch_seed)
     assert outcomes == reversed_outcomes
+
+
+@pytest.mark.parametrize("standard", list(Standard))
+def test_sweep_cells_do_not_depend_on_the_cpu_count(monkeypatch, standard):
+    # Trials run on one thread per CPU; every count gives the same cells,
+    # and no thread outlives the sweep.
+    cfg = SweepConfig(standard, (-10.0, 5.0), (0.010, 0.020), (0.1, 0.01), n_trials=3)
+    threads = threading.active_count()
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(experiment_harness, "_cpu_count", lambda: cpus)
+        results.append(run_detection_sweep(cfg))
+        assert threading.active_count() == threads
+    assert results[1] == results[0] and results[2] == results[0]
+    assert {r.to_csv() for r in results} == {results[0].to_csv()}
+
+
+def test_sweep_threads_take_each_trial_once(monkeypatch):
+    # More threads than cores, switching as often as they can: a trial lost
+    # or taken twice from the shared list would show in the seeds or a cell.
+    seen = []
+
+    def trial(standard, snr_db, m_r, det, wf_seed, ch_seed):
+        seen.append((wf_seed, ch_seed))
+        return snr_db > 0
+
+    monkeypatch.setattr(experiment_harness, "run_single_trial", trial)
+    monkeypatch.setattr(experiment_harness, "_cpu_count", lambda: 4)
+    cfg = SweepConfig(Standard.GSM, (-1.0, 1.0), (0.010, 0.020), n_trials=500, master_seed=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run_detection_sweep(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    expected = {_trial_seeds(2, cell, t) for cell in range(4) for t in range(500)}
+    assert len(seen) == len(expected) and set(seen) == expected
+    assert [c.pd for c in result.cells] == [0.0, 1.0, 0.0, 1.0]
+
+
+def test_sweep_reraises_a_helper_failure_and_stops(monkeypatch):
+    # A helper's exception reaches the caller, which takes no trial after it,
+    # and every helper has ended when it does.
+    failed = threading.Event()
+    ran = []
+
+    def trial(*args):
+        ran.append(args)
+        if threading.current_thread() is threading.main_thread():
+            assert failed.wait(10)
+            return True
+        failed.set()
+        raise MemoryError("helper thread failed")
+
+    monkeypatch.setattr(experiment_harness, "run_single_trial", trial)
+    monkeypatch.setattr(experiment_harness, "_cpu_count", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="helper thread failed"):
+        run_detection_sweep(SweepConfig(Standard.GSM, (0.0,), (0.010,), n_trials=1000))
+    assert threading.active_count() == threads
+    assert len(ran) <= 2
+
+
+def test_cold_sweep_builds_each_cached_entry_once(monkeypatch):
+    # Threads that miss one cache key at once build it once: one phasor
+    # table for the sweep's rate, one LTE layout per observation time.
+    monkeypatch.setattr(experiment_harness, "_cpu_count", lambda: 3)
+    _stacked_table.cache_clear()
+    _lte_layout.cache_clear()
+    run_detection_sweep(SweepConfig(Standard.LTE, (0.0, 5.0), (0.010, 0.020), n_trials=3))
+    assert _stacked_table.cache_info().misses == 1
+    assert _lte_layout.cache_info().misses == 2
+
+
+def test_trial_peak_stays_within_two_and_a_half_records():
+    # Each thread holds one trial, so a trial's peak bounds the sweep's
+    # memory per CPU. The waveform is freed after the channel's FIR, and the
+    # synthesis holds no two full-size arrays beside a third: a warm 50 ms
+    # LTE trial peaks at about 2.2 times the complex bytes of its record.
+    m_r = int(round(0.050 * default_sample_rate("lte")))
+    det = DetectorConfig(p_f=0.01)
+    run_single_trial(Standard.LTE, 0.0, m_r, det, 1, 2)  # fills the caches
+    tracemalloc.start()
+    try:
+        run_single_trial(Standard.LTE, 0.0, m_r, det, 3, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * m_r * np.dtype(np.complex128).itemsize
 
 
 def _channel_reference(x, cfg):
