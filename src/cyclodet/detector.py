@@ -30,6 +30,9 @@ _NULL_SEED = 0x5EED_CA1B
 _NULL_ALPHA_TS = 0.36787944117144233  # 1/e
 # Samples per batch of noise-only records (at least one record per batch).
 _NULL_BATCH_SAMPLES = 2**18
+# Shortest record whose noise-only statistic follows the Rayleigh law that the
+# threshold inverts; noise crosses it less often than P_F on shorter records.
+_MIN_RECORD_SAMPLES = 250
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,21 @@ class DetectorConfig:
         """Refuse a record of m_r samples at sample_rate_hz on which the
         threshold does not hold its false-alarm rate, before a sample is read.
 
-        A record shorter than two slots of the slowest profile does not
-        resolve its slot rate. A profile is refused when its slot rate alpha
-        is less than one bin (f_s / M_r) below its image f_s - alpha,
-        (f_s - 2 alpha) M_r < f_s, which covers every alpha at or above
-        Nyquist: within one bin the image folds onto alpha and the noise-only
-        statistic is no longer Rayleigh. ``classify``, ``SweepConfig`` and
-        ``run_false_alarm`` all refuse through here, with one message per rule.
+        Below ``_MIN_RECORD_SAMPLES`` the statistic is not yet Rayleigh. A record
+        shorter than two slots of the slowest profile does not resolve its slot
+        rate. A profile is refused when its slot rate alpha is less than one bin
+        (f_s / M_r) below its image f_s - alpha, (f_s - 2 alpha) M_r < f_s, which
+        covers every alpha at or above Nyquist: within one bin the image folds onto
+        alpha and the noise-only statistic is no longer Rayleigh. ``classify``,
+        ``SweepConfig`` and ``run_false_alarm`` all refuse through here, with one
+        message per rule.
         """
         need = self.minimum_samples(sample_rate_hz)
+        if m_r < _MIN_RECORD_SAMPLES:
+            raise ConfigurationError(
+                f"m_r {m_r} is below the {_MIN_RECORD_SAMPLES}-sample floor of the threshold "
+                f"law: noise crosses the threshold less often than p_f on shorter records"
+            )
         if m_r < need:
             raise ConfigurationError(
                 f"m_r {m_r} is below the {need} samples classify needs: too short to "
@@ -92,11 +101,6 @@ class DetectorConfig:
                     f"({sample_rate_hz / m_r:g} Hz at {m_r} samples) above twice the "
                     f"{profile.value} slot rate {alpha:g} Hz"
                 )
-
-
-def estimate_variance(r: IqBuffer) -> float:
-    """Mean received power (the variance under the zero-mean assumption), Ĉ(0, 0)."""
-    return estimate_ccf(r, 0.0).value.real
 
 
 def mean_power_leakage(alpha_hz: float, sample_rate_hz: float, m_r: int) -> complex:
@@ -193,13 +197,6 @@ class DecisionReport:
     @property
     def label_name(self) -> str:
         return self.label.value if self.label is not None else "unknown"
-
-    def decision_for(self, standard: "str | Standard") -> ProfileDecision:
-        std = Standard.parse(standard)
-        for d in self.decisions:
-            if d.standard is std:
-                return d
-        raise KeyError(f"no decision for {std}")
 
     def to_csv(self) -> str:
         lines = ["profile,statistic,threshold,detected,label"]

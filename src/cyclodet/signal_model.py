@@ -101,10 +101,6 @@ class IqBuffer:
     def sampling_period_s(self) -> float:
         return 1.0 / self.sample_rate_hz
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class CcfEstimate:

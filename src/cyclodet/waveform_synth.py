@@ -27,7 +27,6 @@ GSM_GAUSSIAN_BT = 0.3  # GMSK pulse-shaping bandwidth-time product
 # Normal-burst layout, in bits: 3 tail + 57 data + 1 flag + 26 training
 # + 1 flag + 57 data + 3 tail, followed by 8.25 guard symbols.
 GSM_BURST_BITS = 148
-GSM_TRAINING_OFFSET = 3 + 57 + 1
 GSM_TRAINING_LEN = 26
 _GUARD_BITS = 9  # last one truncated to 0.25 symbol at the slot boundary
 GSM_SLOT_SCHEDULE_LEN = GSM_BURST_BITS + _GUARD_BITS
@@ -183,6 +182,7 @@ def synth_gsm(cfg: GsmSynthConfig) -> IqBuffer:
     ramps is applied over the guard period instead, modeling carriers that
     ramp down between bursts.
     """
+    # Each array is freed once consumed: no two full-size floats beside the output.
     starts, bits = gsm_bit_schedule(cfg)
     nrz = bits.astype(np.float64) * 2.0 - 1.0
 
@@ -191,16 +191,20 @@ def synth_gsm(cfg: GsmSynthConfig) -> IqBuffer:
     # starts less than one sample before the next one holds at no sample.
     m = cfg.total_samples
     first = np.ceil(starts * cfg.oversample).astype(np.int64)
+    del starts, bits
     drive = np.repeat(nrz, np.diff(first, append=m))
+    del nrz, first
 
     kernel = _gaussian_kernel(cfg.oversample)
     phase = np.convolve(drive, kernel, mode="same")
+    del drive
     np.cumsum(phase, out=phase)
     phase *= np.pi / (2.0 * cfg.oversample)
     # cos/sin into the real and imaginary parts: bit-equal to exp(1j * phase).
     x = np.empty(m, dtype=np.complex128)
     np.cos(phase, out=x.real)
     np.sin(phase, out=x.imag)
+    del phase
 
     if cfg.guard_mode == "gated":
         x *= _slot_gate(cfg)

@@ -18,7 +18,6 @@ from cyclodet import (
     Standard,
     SweepConfig,
     apply_channel,
-    ccf_flop_count,
     ccf_spectrum,
     classify,
     emit_figure_data,
@@ -31,6 +30,7 @@ from cyclodet import (
     synth_lte,
     synth_noise,
 )
+from cyclodet.ccf_estimator import ccf_flop_count
 
 SEED = 20260811
 

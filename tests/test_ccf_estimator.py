@@ -7,15 +7,13 @@ import pytest
 
 from cyclodet import (
     IqBuffer,
-    ccf_flop_count,
     ccf_spectrum,
     estimate_ccf,
-    estimate_variance,
     harmonic_peaks,
     spectrum_to_csv,
     synth_noise,
 )
-from cyclodet.ccf_estimator import _block_sums, _lag_product, _rotate, unit_phasors
+from cyclodet.ccf_estimator import _block_sums, _lag_product, _rotate, ccf_flop_count, unit_phasors
 from cyclodet.iq_io import _READ_CHUNK
 
 
@@ -41,7 +39,7 @@ def test_pure_tone_vanishes_on_nonzero_grid_alpha():
 def test_dc_equals_mean_power():
     r = synth_noise(5000, 1.7, seed=2)
     est = estimate_ccf(r, 0.0, 0)
-    assert est.value.real == pytest.approx(estimate_variance(r), rel=1e-12)
+    assert est.value.real == pytest.approx(np.mean(np.abs(r.samples) ** 2), rel=1e-12)
     assert abs(est.value.imag) < 1e-12
 
 
@@ -107,7 +105,7 @@ def test_spectrum_matches_direct_estimates():
 def test_spectrum_dc_bin_is_mean_power():
     r = synth_noise(10_000, 1.3, seed=9)
     spec = ccf_spectrum(r, 0, max_alpha_hz=0.4)
-    assert spec.magnitudes[0] == pytest.approx(estimate_variance(r), rel=1e-12)
+    assert spec.magnitudes[0] == pytest.approx(estimate_ccf(r, 0.0).value.real, rel=1e-12)
     assert spec.alphas_hz[0] == 0.0
 
 
@@ -119,7 +117,7 @@ def test_spectrum_squares_the_samples_as_the_estimator_does():
     lag = _lag_product(r, 0)
     assert np.array_equal(lag, r.samples.real**2 + r.samples.imag**2)
     sums = [np.sum(lag[i : i + _READ_CHUNK]) for i in range(0, lag.size, _READ_CHUNK)]
-    assert math.fsum(sums) / r.m_r == estimate_variance(r)
+    assert math.fsum(sums) / r.m_r == estimate_ccf(r, 0.0).value.real
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4096, 100_003])
@@ -139,12 +137,12 @@ def test_white_noise_spectrum_stays_below_rayleigh_bound():
     m = 100_000
     r = synth_noise(m, 1.0, seed=10)
     spec = ccf_spectrum(r, 0, max_alpha_hz=0.5)
-    bound = 6.0 / np.sqrt(m) * estimate_variance(r)
+    bound = 6.0 / np.sqrt(m) * estimate_ccf(r, 0.0).value.real
     assert np.max(spec.magnitudes[1:]) < bound
     for seed in range(30):
         rr = synth_noise(4096, 1.0, seed=100 + seed)
         s = ccf_spectrum(rr, 0, max_alpha_hz=0.5)
-        assert np.max(s.magnitudes[1:]) < 6.0 / np.sqrt(4096) * estimate_variance(rr)
+        assert np.max(s.magnitudes[1:]) < 6.0 / np.sqrt(4096) * estimate_ccf(rr, 0.0).value.real
 
 
 def test_harmonic_peaks_on_constructed_power_pattern():

@@ -12,12 +12,10 @@ from cyclodet import (
     ConfigurationError,
     IqBuffer,
     apply_channel,
-    draw_taps,
-    estimate_variance,
-    pdp_tap_variances,
+    estimate_ccf,
     synth_noise,
 )
-from cyclodet.channel_sim import complex_normal
+from cyclodet.channel_sim import complex_normal, draw_taps, pdp_tap_variances
 
 
 def test_pdp_normalization_matches_direct_sum():
@@ -55,7 +53,8 @@ def test_single_tap_noiseless_is_pure_scaling():
     h0 = draw_taps(cfg, np.random.default_rng(cfg.seed))[0]
     np.testing.assert_allclose(y.samples, h0 * x.samples, rtol=1e-14, atol=1e-17)
     # energy bookkeeping to 1e-12 relative
-    assert estimate_variance(y) == pytest.approx(abs(h0) ** 2 * estimate_variance(x), rel=1e-12)
+    power_in, power_out = (estimate_ccf(b, 0.0).value.real for b in (x, y))
+    assert power_out == pytest.approx(abs(h0) ** 2 * power_in, rel=1e-12)
 
 
 def test_snr_definition_on_buffer():
@@ -63,7 +62,7 @@ def test_snr_definition_on_buffer():
     noiseless = apply_channel(x, ChannelConfig(snr_db=np.inf, num_taps=4, seed=9))
     noisy = apply_channel(x, ChannelConfig(snr_db=0.0, num_taps=4, seed=9))
     noise = noisy.samples - noiseless.samples
-    ratio = np.mean(np.abs(noise) ** 2) / estimate_variance(noiseless)
+    ratio = np.mean(np.abs(noise) ** 2) / estimate_ccf(noiseless, 0.0).value.real
     assert 0.95 < ratio < 1.05
 
 

@@ -23,9 +23,7 @@ from cyclodet import (
     classify,
     default_sample_rate,
     estimate_ccf,
-    estimate_variance,
     load_iq,
-    mean_power_leakage,
     run_false_alarm,
     save_iq,
     synth_gsm,
@@ -40,6 +38,7 @@ from cyclodet.detector import (
     _NULL_SEED,
     THRESHOLD_MODES,
     _unit_null_quantile,
+    mean_power_leakage,
     null_statistics,
 )
 from test_ccf_estimator import exact_phasors
@@ -47,19 +46,16 @@ from test_ccf_estimator import exact_phasors
 
 # ------------------------------------------------------------- variance
 
-def test_variance_all_ones():
-    assert estimate_variance(IqBuffer(samples=np.ones(64), sample_rate_hz=1.0)) == 1.0
-
-
 def test_variance_scales_quadratically():
     r = synth_noise(2000, 1.0, seed=1)
     scaled = IqBuffer(samples=2.0 * r.samples, sample_rate_hz=1.0)
-    assert estimate_variance(scaled) == pytest.approx(4.0 * estimate_variance(r), rel=1e-14)
+    a, b = (estimate_ccf(x, 0.0).value.real for x in (r, scaled))
+    assert b == pytest.approx(4.0 * a, rel=1e-14)
 
 
 def test_variance_concentration():
     r = synth_noise(1_000_000, 1.0, seed=2)
-    assert 0.997 < estimate_variance(r) < 1.003
+    assert 0.997 < estimate_ccf(r, 0.0).value.real < 1.003
 
 
 # ------------------------------------------------------------- thresholds
@@ -262,7 +258,7 @@ def test_mean_power_leakage_zero_on_grid_and_one_at_dc():
 def detection_statistic(r, alpha_hz):
     """Reference: |Ĉ(alpha, 0)| less the mean-power leakage sigma^2 D(alpha),
     each from its own ``estimate_ccf`` call."""
-    leak = estimate_variance(r) * mean_power_leakage(alpha_hz, r.sample_rate_hz, r.m_r)
+    leak = estimate_ccf(r, 0.0).value.real * mean_power_leakage(alpha_hz, r.sample_rate_hz, r.m_r)
     return abs(estimate_ccf(r, alpha_hz, 0).value - leak)
 
 
@@ -376,22 +372,37 @@ def test_false_alarm_rate_holds_from_one_bin_below_nyquist(seed, bins, holds):
     assert (binomtest(alarms, n, p_f).pvalue > 1e-3) == holds
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_noise_gets_any_label_at_the_two_profile_rate(seed):
+    # --pf is a per-profile target, so with both profiles noise gets some
+    # label at 1 - (1 - P_F)^2: 10,000 noise records of 1,000 samples at
+    # 8 kHz, where the two slot rates are 33 bins apart, by a two-sided
+    # exact binomial test of the labelled count.
+    n, m_r, p_f = 10_000, 1_000, 0.05
+    cfg = DetectorConfig(p_f=p_f)
+    noise = synth_noise(n * m_r, 1.0, seed=seed).samples.reshape(n, m_r)
+    labelled = sum(classify(IqBuffer(samples=r, sample_rate_hz=8000.0), cfg).label is not None
+                   for r in noise)
+    assert binomtest(labelled, n, 1 - (1 - p_f) ** 2).pvalue > 1e-3, labelled
+
+
 _AUDIT_WORK = 150_000_000  # most exponential draws, M_r times records, per example
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(
     alpha_ts=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
-    log10_m_r=st.floats(3.0, math.log10(2e5)),
+    log10_m_r=st.floats(math.log10(detector._MIN_RECORD_SAMPLES), math.log10(2e5)),
     u=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_false_alarm_rate_holds_on_records_check_record_accepts(alpha_ts, log10_m_r, u, seed):
     # The CFAR audit: GSM alone at f_s = alpha / (alpha T_s), at any record
-    # check_record accepts, M_r log-uniform in [1e3, 2e5] and P_F log-uniform
-    # in [1e-3, 0.2]. Each example draws at least 20 expected alarms and at
-    # most _AUDIT_WORK samples, and passes a two-sided exact binomial test of
-    # its alarm count against the closed-form threshold at 1e-6.
+    # check_record accepts, M_r log-uniform from the 250-sample floor to 2e5
+    # and P_F log-uniform in [1e-3, 0.2]. Each example draws at least 20
+    # expected alarms and at most _AUDIT_WORK samples, and passes a two-sided
+    # exact binomial test of its alarm count against the closed-form
+    # threshold at 1e-6.
     m_r = round(10**log10_m_r)
     low = max(1e-3, 20 * m_r / (_AUDIT_WORK - m_r))
     p_f = low * (0.2 / low) ** u
@@ -702,7 +713,7 @@ def test_tie_break_uses_largest_ratio():
     rep = classify(_gsm_rx(num_slots=60), DetectorConfig(p_f=0.4))
     # At p_f = 0.4 the LTE branch often false-alarms on GSM input, but the
     # GSM statistic must dominate (one threshold, so the largest ratio too).
-    gsm = rep.decision_for("gsm")
-    lte = rep.decision_for(Standard.LTE)
+    gsm, lte = rep.decisions
+    assert (gsm.standard, lte.standard) == (Standard.GSM, Standard.LTE)
     assert gsm.detected and gsm.statistic > lte.statistic
     assert rep.label is Standard.GSM

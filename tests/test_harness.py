@@ -18,14 +18,13 @@ from cyclodet import (
     SweepResult,
     default_sample_rate,
     emit_figure_data,
-    estimate_variance,
+    estimate_ccf,
     run_detection_sweep,
     run_false_alarm,
     save_iq,
-    slot_samples,
     synth_noise,
 )
-from cyclodet import ccf_estimator, experiment_harness
+from cyclodet import ccf_estimator, detector, experiment_harness
 from cyclodet.ccf_estimator import _stacked_table, unit_phasors
 from cyclodet.channel_sim import apply_channel, complex_normal, draw_taps
 from cyclodet.detector import (
@@ -40,6 +39,7 @@ from cyclodet.experiment_harness import (
     _trial_seeds,
     reference_waveform,
     run_single_trial,
+    slot_samples,
 )
 from cyclodet.waveform_synth import _lte_layout
 from test_channel_sim import _fir_convolve_reference
@@ -58,7 +58,7 @@ def test_reference_waveforms_have_slot_envelope_structure():
     rel = (np.arange(len(gsm)) / 4) % 156.25
     assert np.max(np.abs(gsm.samples[(rel >= 150) & (rel < 155)])) < 1e-12
     lte = reference_waveform("lte", 4, seed=1)
-    assert estimate_variance(lte) == pytest.approx(1.0, abs=1e-3)
+    assert estimate_ccf(lte, 0.0).value.real == pytest.approx(1.0, abs=1e-3)
 
 
 def test_sweep_reproducible_and_well_formed():
@@ -209,21 +209,25 @@ def test_cold_sweep_builds_each_cached_entry_once(monkeypatch):
     assert _lte_layout.cache_info().misses == 2
 
 
-def test_trial_peak_stays_within_two_and_a_half_records():
+@pytest.mark.parametrize("standard,bound", [(Standard.GSM, 2.6), (Standard.LTE, 2.5)],
+                         ids=["gsm", "lte"])
+def test_trial_peak_stays_within_two_and_a_half_records(standard, bound):
     # Each thread holds one trial, so a trial's peak bounds the sweep's
     # memory per CPU. The waveform is freed after the channel's FIR, and the
     # synthesis holds no two full-size arrays beside a third: a warm 50 ms
-    # LTE trial peaks at about 2.2 times the complex bytes of its record.
-    m_r = int(round(0.050 * default_sample_rate("lte")))
+    # trial peaks at about 2.5 (GSM) and 2.2 (LTE) times the complex bytes of
+    # its record. GSM's peak is classify's chunk scratch beside the faded
+    # record.
+    m_r = int(round(0.050 * default_sample_rate(standard)))
     det = DetectorConfig(p_f=0.01)
-    run_single_trial(Standard.LTE, 0.0, m_r, det, 1, 2)  # fills the caches
+    run_single_trial(standard, 0.0, m_r, det, 1, 2)  # fills the caches
     tracemalloc.start()
     try:
-        run_single_trial(Standard.LTE, 0.0, m_r, det, 3, 4)
+        run_single_trial(standard, 0.0, m_r, det, 3, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * m_r * np.dtype(np.complex128).itemsize
+    assert peak <= bound * m_r * np.dtype(np.complex128).itemsize
 
 
 def _channel_reference(x, cfg):
@@ -409,24 +413,43 @@ def test_false_alarm_refuses_records_classify_refuses(profile):
     assert 0 <= run_false_alarm(1.0, m_r=need, p_f=0.01, n_trials=5, profile=profile) <= 1
 
 
-@pytest.mark.parametrize("entry", ["classify", "sweep", "false_alarm"])
-def test_every_entry_point_refuses_a_short_record_alike(entry):
-    # One GSM record, a sample short of two slots at the GSM trial rate, is
-    # refused by DetectorConfig.check_record with the same text from every
-    # entry point that can be handed it.
+@pytest.mark.parametrize("entry", ["classify", "capture", "sweep", "false_alarm"])
+def test_every_entry_point_refuses_a_short_record_alike(tmp_path, entry):
+    # Every entry point that can be handed a record refuses it with the text
+    # of DetectorConfig.check_record, or runs it if check_record accepts it.
+    # At the GSM trial rate, the only rate of sweeps and false-alarm runs: a
+    # sample short of the floor, at the floor and a sample short of two
+    # slots. A capture or buffer of GSM alone at 4 kHz, where two slots are
+    # 5 samples: a sample short of the floor, and at it.
+    floor = detector._MIN_RECORD_SAMPLES
     fs = default_sample_rate(Standard.GSM)
-    cfg = DetectorConfig(p_f=0.01)
-    m = cfg.minimum_samples(fs) - 1
-    with pytest.raises(ConfigurationError, match="too short") as expected:
-        cfg.check_record(fs, m)
-    calls = {
-        "classify": lambda: classify(IqBuffer(samples=np.ones(m), sample_rate_hz=fs), cfg),
-        "sweep": lambda: SweepConfig(Standard.GSM, (0.0,), (m / fs,)),
-        "false_alarm": lambda: run_false_alarm(1.0, m_r=m, p_f=0.01, n_trials=5),
-    }
-    with pytest.raises(ConfigurationError) as refused:
-        calls[entry]()
-    assert str(refused.value) == str(expected.value)
+    both, gsm = DetectorConfig(p_f=0.01), DetectorConfig(p_f=0.01, profiles=("gsm",))
+    cases = [(fs, both, floor - 1, "floor"), (fs, both, floor, "too short"),
+             (fs, both, both.minimum_samples(fs) - 1, "too short")]
+    if entry in ("classify", "capture"):
+        cases += [(4000.0, gsm, floor - 1, "floor"), (4000.0, gsm, floor, None)]
+
+    def call(rate, cfg, m):
+        r = synth_noise(m, 1.0, seed=4, sample_rate_hz=rate)
+        if entry == "capture":
+            save_iq(r, tmp_path / "r.iq")
+            r = tmp_path / "r.iq"
+        if entry in ("classify", "capture"):
+            return classify(r, cfg)
+        if entry == "sweep":
+            return SweepConfig(Standard.GSM, (0.0,), (m / fs,))
+        return run_false_alarm(1.0, m_r=m, p_f=0.01, n_trials=5)
+
+    for rate, cfg, m, rule in cases:
+        if rule is None:
+            cfg.check_record(rate, m)
+            call(rate, cfg, m)
+            continue
+        with pytest.raises(ConfigurationError, match=rule) as expected:
+            cfg.check_record(rate, m)
+        with pytest.raises(ConfigurationError) as refused:
+            call(rate, cfg, m)
+        assert str(refused.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("source", ["buffer", "capture"])

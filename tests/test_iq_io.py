@@ -21,7 +21,7 @@ from cyclodet import (
     IqFileMeta,
     UnsupportedFormatError,
     decimate,
-    estimate_variance,
+    estimate_ccf,
     load_iq,
     save_iq,
     synth_noise,
@@ -313,7 +313,7 @@ def test_decimate_preserves_inband_power():
     out = decimate(buf, factor)
     taps = decimation_taps(factor)
     core = out.samples[taps.size // factor : -(taps.size // factor)]
-    assert np.mean(np.abs(core) ** 2) == pytest.approx(estimate_variance(buf), rel=0.03)
+    assert np.mean(np.abs(core) ** 2) == pytest.approx(estimate_ccf(buf, 0.0).value.real, rel=0.03)
 
 
 def _decimate_reference(x, factor):

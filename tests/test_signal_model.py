@@ -51,7 +51,7 @@ def test_iq_buffer_validation():
     buf = IqBuffer(samples=np.ones(4), sample_rate_hz=8.0)
     assert buf.m_r == 4
     assert buf.sampling_period_s == 0.125
-    assert buf.duration_s == 0.5
+    assert len(buf) / buf.sample_rate_hz == 0.5
     assert buf.samples.dtype == np.complex128
     with pytest.raises(ConfigurationError):
         IqBuffer(samples=np.array([]), sample_rate_hz=1.0)

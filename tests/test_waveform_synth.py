@@ -11,19 +11,18 @@ from cyclodet import (
     LteSynthConfig,
     Standard,
     default_sample_rate,
-    estimate_variance,
-    slot_samples,
+    estimate_ccf,
     synth_gsm,
     synth_lte,
     synth_noise,
 )
 from cyclodet import waveform_synth
+from cyclodet.experiment_harness import slot_samples
 from cyclodet.waveform_synth import (
     GSM_SLOT_SCHEDULE_LEN,
     GSM_SLOT_SYMBOLS,
     GSM_SYMBOL_RATE_HZ,
     GSM_TRAINING_LEN,
-    GSM_TRAINING_OFFSET,
     GSM_TRAINING_SEQUENCES,
     LTE_SLOTS_PER_FRAME,
     LTE_SUBCARRIER_SPACING_HZ,
@@ -156,7 +155,7 @@ def test_gsm_constant_envelope():
 def test_gsm_mean_power_unit():
     for mode in ("random_bits", "gated"):
         buf = synth_gsm(GsmSynthConfig(num_slots=10, seed=5, guard_mode=mode))
-        assert estimate_variance(buf) == pytest.approx(1.0, abs=1e-3)
+        assert estimate_ccf(buf, 0.0).value.real == pytest.approx(1.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("tsc", [0, 3, 7])
@@ -165,7 +164,7 @@ def test_gsm_training_bits_identical_across_slots(tsc):
     _, bits = gsm_bit_schedule(cfg)
     expected = GSM_TRAINING_SEQUENCES[tsc]
     for slot in range(cfg.num_slots):
-        lo = slot * GSM_SLOT_SCHEDULE_LEN + GSM_TRAINING_OFFSET
+        lo = slot * GSM_SLOT_SCHEDULE_LEN + 3 + 57 + 1  # tail, data and flag bits
         np.testing.assert_array_equal(bits[lo : lo + GSM_TRAINING_LEN], expected)
 
 
@@ -339,7 +338,7 @@ def test_lte_sss_fixed_bpsk_before_pss():
 def test_lte_mean_power_unit_and_determinism():
     cfg = LteSynthConfig(num_slots=5, seed=8)
     a, b = synth_lte(cfg), synth_lte(cfg)
-    assert estimate_variance(a) == pytest.approx(1.0, abs=1e-3)
+    assert estimate_ccf(a, 0.0).value.real == pytest.approx(1.0, abs=1e-3)
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
@@ -347,7 +346,7 @@ def test_lte_data_occupancy_thins_grid():
     full = synth_lte(LteSynthConfig(num_slots=4, seed=3, data_occupancy=1.0))
     thin_cfg = LteSynthConfig(num_slots=4, seed=3, data_occupancy=0.1)
     thin = synth_lte(thin_cfg)
-    assert estimate_variance(thin) == pytest.approx(1.0, abs=1e-3)
+    assert estimate_ccf(thin, 0.0).value.real == pytest.approx(1.0, abs=1e-3)
     grid = _demod_symbol(thin, thin_cfg, 1, 2)  # plain data symbol
     used = np.concatenate([grid[128 - 36 : 128], grid[1:37]])
     occupied = np.sum(np.abs(used) > 1e-6)
@@ -391,7 +390,7 @@ def test_lte_config_validation(kwargs):
 
 def test_noise_power_and_determinism():
     buf = synth_noise(100_000, power=1.0, seed=1)
-    assert estimate_variance(buf) == pytest.approx(1.0, abs=0.01)
+    assert estimate_ccf(buf, 0.0).value.real == pytest.approx(1.0, abs=0.01)
     np.testing.assert_array_equal(buf.samples, synth_noise(100_000, 1.0, seed=1).samples)
 
 
