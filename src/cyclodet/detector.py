@@ -193,6 +193,7 @@ class DecisionReport:
     threshold: float
     sigma_r_sq: float
     m_r: int
+    p_f_record: float  # 1 - (1 - p_f)^K for K profiles: the chance noise gets some label
 
     @property
     def label_name(self) -> str:
@@ -213,6 +214,7 @@ class DecisionReport:
                 "label": self.label_name,
                 "sigma_r_sq": self.sigma_r_sq,
                 "m_r": self.m_r,
+                "p_f_record": self.p_f_record,
                 "profiles": [
                     {
                         "profile": d.standard.value,
@@ -263,4 +265,5 @@ def classify(r: "IqBuffer | str | os.PathLike", cfg: DetectorConfig) -> Decision
         threshold=gamma,
         sigma_r_sq=sigma_r_sq,
         m_r=m_r,
+        p_f_record=float(-np.expm1(len(cfg.profiles) * np.log1p(-cfg.p_f))),
     )

@@ -5,7 +5,6 @@ for the standard set of result figures."""
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -15,7 +14,7 @@ from .ccf_estimator import ccf_spectrum, spectrum_to_csv
 from .channel_sim import ChannelConfig, apply_channel
 from .detector import DetectorConfig, classify, null_statistics, threshold
 from .errors import ConfigurationError
-from .parallel import cpu_count as _cpu_count, run_shares
+from .parallel import cpu_count as _cpu_count, run_jobs
 from .signal_model import IqBuffer, Standard
 from .waveform_synth import GsmSynthConfig, LteSynthConfig, synth_gsm, synth_lte
 
@@ -179,11 +178,11 @@ def run_detection_sweep(cfg: SweepConfig) -> SweepResult:
 
     Per-trial RNG streams derive from (master_seed, cell index, trial index)
     only, so results are reproducible and independent of execution order.
-    The trials are shared among one thread per CPU the process may run on,
-    each taking the next trial of the longest records left, and counting
-    its hits per cell apart; the counts are summed here. So the cells do
-    not depend on the CPU count, and one trial per thread is in memory at a
-    time. A failed trial stops every thread after the trial in its hands.
+    The trials are shared among one thread per CPU the process may run on
+    by ``run_jobs``, longest records first, and their outcomes are summed
+    per cell here. So the cells do not depend on the CPU count, and one
+    trial per thread is in memory at a time. A failed trial stops every
+    thread after the trial in its hands.
     """
     fs = default_sample_rate(cfg.standard)
     grid = [
@@ -193,33 +192,21 @@ def run_detection_sweep(cfg: SweepConfig) -> SweepResult:
         for snr_db in cfg.snr_db_list
     ]
     m_rs = [int(round(obs_t * fs)) for _, obs_t, _ in grid]
-    # Taken from the end: the longest records first, so no long trial is left
-    # to run alone at the end.
-    pending = sorted(
+    # The longest records first, so no long trial is left to run alone at the end.
+    jobs = sorted(
         ((cell, trial) for cell in range(len(grid)) for trial in range(cfg.n_trials)),
         key=lambda job: m_rs[job[0]],
+        reverse=True,
     )
-    lock = threading.Lock()
 
-    def run(hits: list) -> None:
-        try:
-            while True:
-                with lock:
-                    if not pending:
-                        return
-                    cell, trial = pending.pop()
-                detector, _, snr_db = grid[cell]
-                wf_seed, ch_seed = _trial_seeds(cfg.master_seed, cell, trial)
-                hits[cell] += run_single_trial(
-                    cfg.standard, snr_db, m_rs[cell], detector, wf_seed, ch_seed
-                )
-        except BaseException:
-            with lock:
-                pending.clear()
-            raise
+    def run(cell: int, trial: int) -> bool:
+        detector, _, snr_db = grid[cell]
+        wf_seed, ch_seed = _trial_seeds(cfg.master_seed, cell, trial)
+        return run_single_trial(cfg.standard, snr_db, m_rs[cell], detector, wf_seed, ch_seed)
 
-    counts = [[0] * len(grid) for _ in range(min(_cpu_count(), len(pending)))]
-    run_shares(run, [(hits,) for hits in counts])
+    hits = [0] * len(grid)
+    for (cell, _), hit in zip(jobs, run_jobs(run, jobs, [()] * min(_cpu_count(), len(jobs)))):
+        hits[cell] += hit
     return SweepResult(
         cells=tuple(
             SweepCell(
@@ -227,7 +214,7 @@ def run_detection_sweep(cfg: SweepConfig) -> SweepResult:
                 snr_db=snr_db,
                 obs_time_s=obs_t,
                 p_f=detector.p_f,
-                pd=sum(hits[cell] for hits in counts) / cfg.n_trials,
+                pd=hits[cell] / cfg.n_trials,
                 n_trials=cfg.n_trials,
             )
             for cell, (detector, obs_t, snr_db) in enumerate(grid)

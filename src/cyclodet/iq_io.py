@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, UnsupportedFormatError
-from .parallel import cpu_count as _cpu_count, run_shares
+from .parallel import cpu_count as _cpu_count, run_jobs
 from .signal_model import IqBuffer
 
 SAMPLE_FORMAT_CF32LE = "cf32le"
@@ -69,8 +69,10 @@ class IqFileMeta:
                     continue
                 if "=" not in line:
                     raise FormatError(f"{meta_path}: malformed line {line!r}")
-                key, value = line.split("=", 1)
-                fields[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in fields:
+                    raise FormatError(f"{meta_path}: key {key!r} appears more than once")
+                fields[key] = value
         if "sample_rate_hz" not in fields:
             raise FormatError(f"{meta_path}: missing sample_rate_hz")
         values = {}
@@ -105,18 +107,19 @@ def save_iq(buf: IqBuffer, path) -> None:
     """Write a buffer as cf32le data plus its sidecar; load_iq inverts it
     exactly (samples pass through float32, so save after load is bit-identical).
 
-    Writes nothing when a sample is non-finite in float32, since load_iq
-    would reject the capture."""
+    Writes nothing when the sidecar would be refused or a sample is
+    non-finite in float32, since load_iq would reject the capture."""
+    meta = IqFileMeta(
+        sample_rate_hz=buf.sample_rate_hz,
+        sample_count=len(buf),
+        center_freq_hz=buf.center_freq_hz,
+    )
     with np.errstate(over="ignore"):
         data = buf.samples.astype("<c8")
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: not written, samples are non-finite or exceed float32")
     data.tofile(path)
-    IqFileMeta(
-        sample_rate_hz=buf.sample_rate_hz,
-        sample_count=len(buf),
-        center_freq_hz=buf.center_freq_hz,
-    ).write(_meta_path(path))
+    meta.write(_meta_path(path))
 
 
 # Samples per chunk: whole 2**14-sample phasor blocks, so the block sums of
@@ -248,9 +251,9 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
     samples, so the working set does not grow with the buffer and the
     transform lengths depend on the factor alone.
 
-    The batches are independent, so they are shared among one thread per CPU
-    the process may run on (at most one per batch), each writing its own
-    slices of the output. The blocks and their arithmetic do not depend on
+    The batches are independent, so ``run_jobs`` shares them among one thread
+    per CPU the process may run on (at most one per batch), each writing its
+    own slices of the output. The blocks and their arithmetic do not depend on
     that count, so the output is bit-identical on any number of CPUs; there
     is nothing to set.
     """
@@ -276,42 +279,39 @@ def decimate(buf: IqBuffer, factor: int) -> IqBuffer:
     count = -(-x.size // factor)
     out = np.empty(-(-count // kept) * kept, dtype=np.complex128)  # whole blocks
     per_chunk = max(1, _CHUNK_SAMPLES // hop)
-    firsts = range(0, count, per_chunk * kept)  # each batch's first output
-    workers = min(_cpu_count(), len(firsts))
+    firsts = [(first,) for first in range(0, count, per_chunk * kept)]  # batch starts
 
-    def run(share: range, seg: np.ndarray, frames: np.ndarray, folded: np.ndarray) -> None:
-        for first in share:
-            blocks = min(per_chunk, (out.size - first) // kept)
-            # Block b of this batch reads input samples lo + b*hop onwards.
-            lo = first * factor - delay
-            size = (blocks - 1) * hop + n
-            start, stop = max(lo, 0), min(lo + size, x.size)
-            src = x[lo : lo + size]
-            if start > lo or stop < lo + size:  # the batch reads past an edge of x
-                src = seg[:size]
-                src[: start - lo] = 0
-                src[start - lo : stop - lo] = x[start:stop]
-                src[stop - lo :] = 0
-            spec = np.fft.fft(sliding_window_view(src, n)[::hop], axis=-1, out=frames[:blocks])
-            spec *= spectrum
-            fold = spec.reshape(blocks, factor, sub).sum(axis=1, out=folded[:blocks])
-            fold /= factor
-            np.fft.ifft(fold, axis=-1, out=fold)
-            out[first : first + blocks * kept].reshape(blocks, kept)[...] = fold[:, skip:]
+    def run(first: int, seg: np.ndarray, frames: np.ndarray, folded: np.ndarray) -> None:
+        blocks = min(per_chunk, (out.size - first) // kept)
+        # Block b of this batch reads input samples lo + b*hop onwards.
+        lo = first * factor - delay
+        size = (blocks - 1) * hop + n
+        start, stop = max(lo, 0), min(lo + size, x.size)
+        src = x[lo : lo + size]
+        if start > lo or stop < lo + size:  # the batch reads past an edge of x
+            src = seg[:size]
+            src[: start - lo] = 0
+            src[start - lo : stop - lo] = x[start:stop]
+            src[stop - lo :] = 0
+        spec = np.fft.fft(sliding_window_view(src, n)[::hop], axis=-1, out=frames[:blocks])
+        spec *= spectrum
+        fold = spec.reshape(blocks, factor, sub).sum(axis=1, out=folded[:blocks])
+        fold /= factor
+        np.fft.ifft(fold, axis=-1, out=fold)
+        out[first : first + blocks * kept].reshape(blocks, kept)[...] = fold[:, skip:]
 
     # Every worker's buffers are allocated here, so no helper thread grows a
     # malloc arena of its own, and reused by each of its batches: fresh ones
     # would fault in new pages. The helpers call numpy alone.
-    shares = [
+    workers = [
         (
-            firsts[w::workers],
             np.empty((per_chunk - 1) * hop + n, dtype=np.complex128),
             np.empty((per_chunk, n), dtype=np.complex128),
             np.empty((per_chunk, sub), dtype=np.complex128),
         )
-        for w in range(workers)
+        for _ in range(min(_cpu_count(), len(firsts)))
     ]
-    run_shares(run, shares)
+    run_jobs(run, firsts, workers)
     return IqBuffer(
         samples=out[:count],
         sample_rate_hz=buf.sample_rate_hz / factor,

@@ -1,14 +1,15 @@
-"""Independent work shared among one thread per CPU the process may run on.
+"""Independent jobs shared among threads, the one place the package starts one.
 
-``iq_io.decimate`` shares its batches and ``run_detection_sweep`` its trials
-this way. Each splits its work so that the result does not depend on the
-number of threads; nothing about that number can be set. Most of the work
-runs in numpy, which releases the interpreter lock.
+``iq_io.decimate`` runs its batches and ``run_detection_sweep`` its trials
+through ``run_jobs``, with one thread per CPU the process may run on. Each
+splits its work so that the result does not depend on the number of threads;
+nothing about that number can be set. Most of the work runs in numpy, which
+releases the interpreter lock. The caches the trials share hold read-only
+values, so two threads that build one entry at once do no harm.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 
@@ -20,46 +21,39 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_shares(run, shares) -> None:
-    """``run(*share)`` for each share: the first in the calling thread, each
-    other in a helper thread of its own. Returns once every helper has
-    finished, so no thread outlives the call, and then raises the first
-    exception a helper raised."""
+def run_jobs(work, jobs, workers) -> list:
+    """``work(*job, *worker)`` for every job, with one thread per worker: the
+    calling thread with the first, a helper thread of its own with each
+    other. Each thread takes the next job left, under one lock, until none
+    is left or a job has failed. Returns the results in job order once every
+    helper has finished, so no thread outlives the call; after a failure it
+    raises the first exception instead."""
+    results = [None] * len(jobs)
+    left = iter(enumerate(jobs))
+    lock = threading.Lock()
     errors = []
 
-    def helper(*args) -> None:
-        try:
-            run(*args)
-        except BaseException as exc:  # re-raised in the caller after join
-            errors.append(exc)
+    def take():
+        with lock:
+            return None if errors else next(left, None)
 
-    threads = [threading.Thread(target=helper, args=share) for share in shares[1:]]
+    def run(*worker) -> None:
+        try:
+            for index, job in iter(take, None):
+                results[index] = work(*job, *worker)
+        except BaseException as exc:  # re-raised in the caller after join
+            with lock:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=worker) for worker in workers[1:]]
     try:
         for thread in threads:
             thread.start()
-        run(*shares[0])
+        run(*workers[0])
     finally:
         for thread in threads:
             if thread.ident is not None:
                 thread.join()
     if errors:
         raise errors[0]
-
-
-def locked_cache(maxsize: int):
-    """``functools.lru_cache(maxsize)`` with one lock held around each call,
-    so threads that miss one key at once build its entry once."""
-
-    def decorate(build):
-        cached = functools.lru_cache(maxsize)(build)
-        lock = threading.Lock()
-
-        @functools.wraps(build)
-        def call(*args):
-            with lock:
-                return cached(*args)
-
-        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-        return call
-
-    return decorate
+    return results

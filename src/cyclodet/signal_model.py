@@ -86,6 +86,8 @@ class IqBuffer:
             raise ConfigurationError(
                 f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}"
             )
+        if self.center_freq_hz is not None and not np.isfinite(self.center_freq_hz):
+            raise ConfigurationError(f"center_freq_hz must be finite, got {self.center_freq_hz}")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 

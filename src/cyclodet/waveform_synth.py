@@ -9,6 +9,7 @@ are unambiguous.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,6 @@ import numpy as np
 
 from .channel_sim import complex_normal
 from .errors import ConfigurationError
-from .parallel import locked_cache
 from .signal_model import IqBuffer, Standard
 
 GSM_SYMBOL_RATE_HZ = Fraction(1625000, 6)
@@ -301,7 +301,7 @@ def _cell_constants(n_rb: int, rs_power_boost_db: float, cell_seed: int):
     return rs_cols_sym0, rs_sym0, rs_cols_sym4, rs_sym4, sss
 
 
-@locked_cache(maxsize=8)
+@functools.lru_cache(maxsize=8)
 def _lte_layout(
     num_slots: int, n_rb: int, fft_size: int, rs_power_boost_db: float, cell_seed: int
 ):

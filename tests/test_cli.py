@@ -80,6 +80,22 @@ def test_classify_json_and_negative_exit(tmp_path, capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize("pf", [0.1, 0.01, 1e-3])
+@pytest.mark.parametrize("profiles", ["gsm", "lte", "gsm,lte"])
+def test_classify_json_reports_the_record_false_alarm_rate(tmp_path, capsys, pf, profiles):
+    # 1 - (1 - P_F)^K for K profiles; the CSV report and the decision stay as they were.
+    data = tmp_path / "n.iq"
+    assert run(["synth-lte", "--slots", "30", "--seed", "3", "--out", str(data)]) == 0
+    common = ["classify", "--in", str(data), "--pf", str(pf), "--profiles", profiles]
+    code = run([*common, "--json"])
+    record = json.loads(capsys.readouterr().out)
+    k = len(profiles.split(","))
+    assert record["p_f_record"] == pytest.approx(1 - (1 - pf) ** k, rel=1e-12)
+    assert list(record)[:4] == ["label", "sigma_r_sq", "m_r", "p_f_record"]
+    assert run(common) == code
+    assert "p_f_record" not in capsys.readouterr().out
+
+
 def test_channel_slot_length_turns_on_uniform_offset(tmp_path):
     clean = tmp_path / "c.iq"
     run(["synth-gsm", "--slots", "8", "--seed", "1", "--out", str(clean)])
@@ -295,11 +311,14 @@ def _bad_capture(tmp_path, bad):
         with open(data, "ab") as fh:
             fh.write(b"\0\0\0")
     IqFileMeta(sample_rate_hz=1e6, sample_count=declared).write(f"{data}.meta")
+    if bad == "repeated-key":
+        with open(f"{data}.meta", "a") as fh:
+            fh.write("sample_rate_hz=2e6\n")
     return data
 
 
 @pytest.mark.parametrize("bad", ["odd-bytes", "empty", "count-mismatch", "nan-first-chunk",
-                                 "inf-later-chunk", "zeros"])
+                                 "inf-later-chunk", "zeros", "repeated-key"])
 def test_classify_refuses_bad_captures_as_load_iq_does(tmp_path, capsys, bad):
     data = _bad_capture(tmp_path, bad)
     message = _refused_by_load_iq(data)

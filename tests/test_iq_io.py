@@ -132,6 +132,35 @@ def test_missing_or_bad_sidecar(tmp_path):
         assert str(meta) in str(exc.value)
 
 
+def test_sidecar_may_not_repeat_a_key(tmp_path):
+    # A repeated key would otherwise keep its last value: here the rate.
+    data = tmp_path / "r.iq"
+    save_iq(_f32_buffer(m=300), data)
+    meta = tmp_path / "r.iq.meta"
+    meta.write_text(meta.read_text() + "origin=a\norigin2=b\n")
+    assert load_iq(data).sample_rate_hz == _f32_buffer(m=300).sample_rate_hz  # unknown keys pass
+    for key in ("sample_rate_hz=2e6", "origin=c"):
+        meta.write_text(meta.read_text() + key + "\n")
+        with pytest.raises(FormatError, match=key.split("=")[0]) as exc:
+            load_iq(data)
+        assert str(meta) in str(exc.value)
+        meta.write_text(meta.read_text().replace(key + "\n", ""))
+
+
+def test_save_refuses_bad_metadata_before_writing(tmp_path):
+    # A refused save leaves the capture it would replace as it was.
+    data = tmp_path / "keep.iq"
+    old = IqBuffer(samples=np.ones(300), sample_rate_hz=1e6)
+    save_iq(old, data)
+    files = {path: path.read_bytes() for path in (data, tmp_path / "keep.iq.meta")}
+    new = IqBuffer(samples=np.full(600, 2.0), sample_rate_hz=7.68e6)
+    object.__setattr__(new, "center_freq_hz", np.nan)  # past IqBuffer's own check
+    with pytest.raises(FormatError, match="center_freq_hz"):
+        save_iq(new, data)
+    assert {path: path.read_bytes() for path in files} == files
+    assert load_iq(data).sample_rate_hz == 1e6
+
+
 def test_save_refuses_float32_overflow(tmp_path):
     data = tmp_path / "big.iq"
     samples = np.ones(16, dtype=np.complex128)

@@ -61,4 +61,7 @@ def test_iq_buffer_validation():
         IqBuffer(samples=np.ones(4), sample_rate_hz=np.inf)
     with pytest.raises(ConfigurationError):
         IqBuffer(samples=np.ones((2, 2)), sample_rate_hz=1.0)
+    for center in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="center_freq_hz"):
+            IqBuffer(samples=np.ones(4), sample_rate_hz=1.0, center_freq_hz=center)
 
